@@ -18,7 +18,13 @@ from typing import Sequence
 import click
 
 from .alignments import DetectionStrategy, ScoringScheme, Seed
-from .counting import CountTableD, InfeasibleScore, count_homogeneous, count_unconstrained
+from .counting import (
+    CountTableD,
+    InfeasibleScore,
+    count_homogeneous,
+    count_unconstrained,
+    feasible_composition,
+)
 from .sampling import RandomStream, sample_fixed, sample_free
 from .search import SearchSpec, find_optimal
 from .sensitivity import (
@@ -146,8 +152,8 @@ def count(length: int, score: int | None, model: str, match: int, mismatch: int,
 @click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
               show_default=True, help="64-bit seed for the sample streams.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes; output is identical for any value "
-                   "(default: one per core for large sample counts).")
+              help="Worker processes, at most one per CPU; output is identical for "
+                   "any value (default: one per core for large sample counts).")
 @_scheme_options
 @_output_options
 def generate(length: int, score: int | None, samples: int, rng_seed: int, threads: int | None,
@@ -261,7 +267,7 @@ def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
               help="Ranked seeds to keep.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes (default: available cores).")
+              help="Worker processes, at most one per CPU (default: available cores).")
 @_scheme_options
 @_output_options
 def optimize(weight: int, max_span: int, length: int, score: int, model: str, top: int,
@@ -311,10 +317,7 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
     if score < 1 and model != UNIFORM:
         raise click.UsageError("homogeneous curves require --score >= 1")
     lengths = _parse_range(length_range)
-    period = scheme.match_score + scheme.mismatch_penalty
-    feasible = [n for n in lengths
-                if (score + n * scheme.mismatch_penalty) % period == 0
-                and 0 <= (score + n * scheme.mismatch_penalty) // period <= n]
+    feasible = [n for n in lengths if feasible_composition(scheme, n, score) is not None]
     models = [HOMOGENEOUS, UNIFORM] if model == "both" else [model]
     if HOMOGENEOUS in models and feasible:
         # a feasible composition can still have an empty homogeneous population

@@ -1,13 +1,13 @@
 """Arbitrary-precision counting of score-constrained positive walks.
 
-Two table families back everything else here:
+One table family backs everything else here: ``CountTableD`` counts walk
+suffixes that culminate at a fixed final score, with intermediate ordinates
+confined to the open band (0, score). Dense, O(score * horizon) space.
 
-* ``CountTableD`` counts walk suffixes that culminate at a fixed final score,
-  with intermediate ordinates confined to the open band (0, score). Dense,
-  O(score * horizon) space.
-* ``CountTableC`` counts suffixes when the final score is free; a state
-  carries the current ordinate and the running maximum the walk still has to
-  beat. Sparse, memoized lazily over reachable states only.
+A free score needs no table of its own. Homogeneous alignments of length n
+are the disjoint union, over the positive totals a length-n alignment can
+reach, of the fixed-score populations, so free-score counts are sums of
+fixed-score counts.
 
 Counts are exact Python integers; they outgrow 64 bits around length 70 for
 dense schemes.
@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .alignments import ScoringScheme
-
-C_TABLE_HORIZON_LIMIT = 512
-
 
 class InfeasibleScore(ValueError):
     """No alignment of the requested length and score exists under the scheme."""
@@ -86,53 +83,14 @@ class CountTableD:
         return self._rows[k][y]
 
 
-class CountTableC:
-    """Counts of length-k positive walk suffixes whose final score must strictly
-    exceed h, the maximum ordinate already reached; y is the current ordinate.
-
-    Entries are memoized lazily, so only states reachable from the queries
-    actually posed are ever stored. The horizon is capped because the state
-    space grows cubically with it.
-    """
-
-    def __init__(self, scheme: ScoringScheme, horizon: int):
-        if not 1 <= horizon <= C_TABLE_HORIZON_LIMIT:
-            raise ValueError(f"horizon must be in [1, {C_TABLE_HORIZON_LIMIT}]")
-        self.scheme = scheme
-        self.horizon = horizon
-        self._memo: dict[tuple[int, int, int], int] = {}
-
-    def count(self, y: int, h: int, k: int) -> int:
-        if not 0 <= y <= h:
-            raise ValueError("need 0 <= y <= h")
-        if not 1 <= k <= self.horizon:
-            raise ValueError(f"steps {k} outside table horizon {self.horizon}")
-        s, p = self.scheme.match_score, self.scheme.mismatch_penalty
-        memo = self._memo
-        goal = (y, h, k)
-        if goal in memo:
-            return memo[goal]
-        stack = [goal]
-        while stack:
-            state = stack[-1]
-            if state in memo:
-                stack.pop()
-                continue
-            y, h, k = state
-            if k == 1:
-                memo[state] = 1 if y + s > h else 0
-                stack.pop()
-                continue
-            children = [(y + s, max(h, y + s), k - 1)]
-            if y > p:
-                children.append((y - p, h, k - 1))
-            missing = [c for c in children if c not in memo]
-            if missing:
-                stack.extend(missing)
-            else:
-                memo[state] = sum(memo[c] for c in children)
-                stack.pop()
-        return memo[goal]
+def positive_scores(scheme: ScoringScheme, n: int) -> range:
+    """Every positive total score an alignment of length n can have, ascending."""
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    s, p = scheme.match_score, scheme.mismatch_penalty
+    # m matches give m*s - (n-m)*p; the fewest that stay positive is m = floor(n*p/(s+p)) + 1
+    low = n * p // (s + p) + 1
+    return range(low * (s + p) - n * p, n * s + 1, s + p)
 
 
 def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -> int:
@@ -144,7 +102,8 @@ def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -
     if n < 1:
         raise ValueError("length must be >= 1")
     if score is None:
-        return CountTableC(scheme, n).count(0, 0, n)
+        # one table at a time, so memory stays O(n * score)
+        return sum(count_homogeneous(scheme, n, t) for t in positive_scores(scheme, n))
     if score < 1 or feasible_composition(scheme, n, score) is None:
         return 0
     return CountTableD(scheme, score, n).count(0, n)

@@ -1,10 +1,16 @@
 """Uniform random generation of homogeneous alignments.
 
-Generation walks left to right; at each step the exact match probability is
-the ratio of the suffix count after a match step to the suffix count of the
-current state. Steps are decided by comparing a uniform integer draw below
-the denominator against the numerator, so no floating point is involved and
-the distribution over the target set is exactly uniform.
+One sampler serves both fixed and free scores. It walks a ``CountTableD``
+left to right; at each step the exact match probability is the ratio of the
+suffix count after a match step to the suffix count of the current state.
+Steps are decided by comparing a uniform integer draw below the denominator
+against the numerator, so no floating point is involved and the
+distribution over the target set is exactly uniform.
+
+A free score is the disjoint union of its fixed-score classes, so a
+free-score sample first picks a class with probability proportional to its
+size, by one integer draw below the total population (the recursive method
+of Flajolet, Zimmermann & Van Cutsem), then walks that class's table.
 
 Sample i always draws from the child stream ``stream.spawn(i)``, never from
 the base stream directly. Output therefore depends only on (seed, sample
@@ -13,13 +19,13 @@ index) and is identical no matter how samples are split across workers.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from typing import Iterator
 
 from .alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
-from .counting import CountTableC, CountTableD, InfeasibleScore, feasible_composition
+from .counting import CountTableD, InfeasibleScore, feasible_composition, positive_scores
 
 DEFAULT_REJECTION_LIMIT = 20
 DEFAULT_ATTEMPT_BUDGET = 1_000_000
@@ -76,32 +82,6 @@ class RandomStream:
         return RandomStream(_splitmix64((self.seed + (index + 1) * _GOLDEN) & _MASK64))
 
 
-def next_letter_probability(table: CountTableD | CountTableC, state: tuple[int, ...]) -> Fraction:
-    """Exact probability that the next letter is a match, from a generation state.
-
-    For a fixed-score table the state is (y, k); for a free-score table it is
-    (y, h, k) with h the running maximum ordinate. A zero suffix count means
-    the caller asked about an unreachable state.
-    """
-    if isinstance(table, CountTableD):
-        s = table.scheme.match_score
-        y, k = state
-        denominator = table.count(y, k)
-        if denominator == 0:
-            raise ValueError(f"state {state} has no completions")
-        return Fraction(table.count(y + s, k - 1), denominator)
-    if isinstance(table, CountTableC):
-        s = table.scheme.match_score
-        y, h, k = state
-        denominator = table.count(y, h, k)
-        if denominator == 0:
-            raise ValueError(f"state {state} has no completions")
-        if k == 1:
-            return Fraction(1)  # a one-step completion is always a match
-        return Fraction(table.count(y + s, max(h, y + s), k - 1), denominator)
-    raise TypeError(f"unsupported table type {type(table).__name__}")
-
-
 def _fixed_table(scheme: ScoringScheme, n: int, score: int) -> CountTableD:
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -113,14 +93,37 @@ def _fixed_table(scheme: ScoringScheme, n: int, score: int) -> CountTableD:
     return table
 
 
-def _iter_fixed_bits(table: CountTableD, n: int, count: int, stream: RandomStream,
-                     start: int = 0) -> Iterator[int]:
-    s = table.scheme.match_score
-    p = table.scheme.mismatch_penalty
-    target = table.score
-    rows = table._rows
+def _tables(scheme: ScoringScheme, n: int, score: int | None) -> list[CountTableD]:
+    """The table of a fixed score, or one table per nonempty score class when free."""
+    if score is not None:
+        return [_fixed_table(scheme, n, score)]
+    tables = (CountTableD(scheme, t, n) for t in positive_scores(scheme, n))
+    return [table for table in tables if table.count(0, n)]
+
+
+def _iter_bits(tables: list[CountTableD], n: int, count: int, stream: RandomStream,
+               start: int = 0) -> Iterator[int]:
+    """Sample bit strings drawn uniformly from the union of the tables' populations.
+
+    With several tables, a sample's first draw picks one with probability
+    proportional to its population (concatenated rank ranges); the walk then
+    runs inside it. A single table takes no pick draw.
+    """
+    s = tables[0].scheme.match_score
+    p = tables[0].scheme.mismatch_penalty
+    sizes = [table.count(0, n) for table in tables]
+    total = sum(sizes)
     for i in range(start, start + count):
         randbelow = stream.spawn(i).randbelow
+        table = tables[0]
+        if len(tables) > 1:
+            r = randbelow(total)
+            for table, size in zip(tables, sizes):
+                if r < size:
+                    break
+                r -= size
+        target = table.score
+        rows = table._rows
         bits = 0
         y = 0
         for k in range(n, 0, -1):
@@ -137,32 +140,30 @@ def _iter_fixed_bits(table: CountTableD, n: int, count: int, stream: RandomStrea
         yield bits
 
 
-def _sample_fixed_range(match: int, mismatch: int, n: int, score: int,
-                        seed: int, start: int, count: int) -> list[int]:
-    table = _fixed_table(ScoringScheme(match, mismatch), n, score)
-    return list(_iter_fixed_bits(table, n, count, RandomStream(seed), start))
+def _sample_range(match: int, mismatch: int, n: int, score: int | None,
+                  seed: int, start: int, count: int) -> list[int]:
+    tables = _tables(ScoringScheme(match, mismatch), n, score)
+    return list(_iter_bits(tables, n, count, RandomStream(seed), start))
 
 
-def sample_fixed(scheme: ScoringScheme, n: int, score: int, count: int,
-                 stream: RandomStream, workers: int = 1) -> list[Alignment]:
-    """Uniform samples over homogeneous alignments of length n and exact score.
-
-    Output is identical for any worker count; workers only split the sample
-    index range.
-    """
+def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
+            stream: RandomStream, workers: int) -> list[Alignment]:
+    if n < 1:
+        raise ValueError("length must be >= 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    table = _fixed_table(scheme, n, score)
+    tables = _tables(scheme, n, score)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and count > 1:
         ranges = _index_ranges(count, workers)
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             parts = pool.map(
-                _sample_fixed_range,
+                _sample_range,
                 *zip(*[(scheme.match_score, scheme.mismatch_penalty, n, score,
                         stream.seed, lo, hi - lo) for lo, hi in ranges]),
             )
         return [Alignment(n, bits) for part in parts for bits in part]
-    return [Alignment(n, bits) for bits in _iter_fixed_bits(table, n, count, stream)]
+    return [Alignment(n, bits) for bits in _iter_bits(tables, n, count, stream)]
 
 
 def _index_ranges(count: int, workers: int) -> list[tuple[int, int]]:
@@ -177,53 +178,20 @@ def _index_ranges(count: int, workers: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _iter_free_bits(table: CountTableC, n: int, count: int, stream: RandomStream,
-                    start: int = 0) -> Iterator[int]:
-    s = table.scheme.match_score
-    p = table.scheme.mismatch_penalty
-    for i in range(start, start + count):
-        randbelow = stream.spawn(i).randbelow
-        bits = 0
-        y = h = 0
-        for k in range(n, 0, -1):
-            denominator = table.count(y, h, k)
-            if k == 1:
-                num = denominator  # last step must be a match
-            else:
-                num = table.count(y + s, max(h, y + s), k - 1)
-            if randbelow(denominator) < num:
-                bits |= 1 << (n - k)
-                y += s
-                h = max(h, y)
-            else:
-                y -= p
-        yield bits
+def sample_fixed(scheme: ScoringScheme, n: int, score: int, count: int,
+                 stream: RandomStream, workers: int = 1) -> list[Alignment]:
+    """Uniform samples over homogeneous alignments of length n and exact score.
 
-
-def _sample_free_range(match: int, mismatch: int, n: int,
-                       seed: int, start: int, count: int) -> list[int]:
-    table = CountTableC(ScoringScheme(match, mismatch), n)
-    return list(_iter_free_bits(table, n, count, RandomStream(seed), start))
+    Output is identical for any worker count; workers only split the sample
+    index range, and at most one worker per CPU is started.
+    """
+    return _sample(scheme, n, score, count, stream, workers)
 
 
 def sample_free(scheme: ScoringScheme, n: int, count: int,
                 stream: RandomStream, workers: int = 1) -> list[Alignment]:
     """Uniform samples over all homogeneous alignments of length n, any score."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    table = CountTableC(scheme, n)
-    if workers > 1 and count > 1:
-        ranges = _index_ranges(count, workers)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = pool.map(
-                _sample_free_range,
-                *zip(*[(scheme.match_score, scheme.mismatch_penalty, n,
-                        stream.seed, lo, hi - lo) for lo, hi in ranges]),
-            )
-        return [Alignment(n, bits) for part in parts for bits in part]
-    return [Alignment(n, bits) for bits in _iter_free_bits(table, n, count, stream)]
+    return _sample(scheme, n, None, count, stream, workers)
 
 
 def sample_rejection(scheme: ScoringScheme, n: int, score: int | None, count: int,

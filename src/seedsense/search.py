@@ -99,12 +99,16 @@ def _evaluate_patterns(patterns: list[str], match: int, mismatch: int, length: i
 
 
 def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
-    """Rank every candidate seed by exact hit probability under the spec's model."""
+    """Rank every candidate seed by exact hit probability under the spec's model.
+
+    Candidates are spread over `threads` worker processes, at most one per CPU
+    (default: one per CPU); the ranking is the same for any count.
+    """
     started = time.perf_counter()
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
-    if threads is None:
-        threads = os.cpu_count() or 1
+    cores = os.cpu_count() or 1
+    threads = cores if threads is None else min(threads, cores)
     args = (spec.scheme.match_score, spec.scheme.mismatch_penalty,
             spec.length, spec.score, spec.model)
     if threads > 1 and len(representatives) > 1:

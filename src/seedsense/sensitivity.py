@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alignments import DetectionStrategy, ScoringScheme, Seed, _bits_detected
+from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
 from .counting import CountTableD, InfeasibleScore, feasible_composition
-from .sampling import RandomStream, _fixed_table, _iter_fixed_bits
+from .sampling import RandomStream, _fixed_table, _iter_bits
 
 HOMOGENEOUS = "homogeneous"
 UNIFORM = "all"
@@ -84,31 +84,6 @@ def decimal_ratio(numerator: int, denominator: int, digits: int = 6) -> str:
         return str(q)
     whole, frac = divmod(q, scale)
     return f"{whole}.{frac:0{digits}d}"
-
-
-def viable_suffixes(seed: Seed) -> frozenset[str]:
-    """Suffix states the hit recursion can ever need to remember.
-
-    A suffix M shorter than the span survives iff the pattern can still match
-    a window ending at M's last letter when all unseen letters before M are
-    matches, i.e. the pattern matches 1-padding + M. Full-span suffixes
-    survive iff the pattern matches them outright. The empty suffix is always
-    a state.
-    """
-    pattern = seed.pattern
-    span = seed.span
-    states = {""}
-    for j in range(1, span + 1):
-        tail = pattern[span - j:]
-        free = [t for t, ch in enumerate(tail) if ch == "0"]
-        base = ["1"] * j
-        for pick in range(1 << len(free)):
-            cells = base.copy()
-            for b, t in enumerate(free):
-                if not (pick >> b) & 1:
-                    cells[t] = "0"
-            states.add("".join(cells))
-    return frozenset(states)
 
 
 class _HitAutomaton:
@@ -326,7 +301,7 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     n = query.length
     if query.model == HOMOGENEOUS:
         table = _fixed_table(query.scheme, n, query.score)
-        bit_stream = _iter_fixed_bits(table, n, samples, stream)
+        bit_stream = _iter_bits([table], n, samples, stream)
     else:
         comp = feasible_composition(query.scheme, n, query.score)
         if comp is None:

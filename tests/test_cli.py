@@ -76,6 +76,12 @@ class TestCount:
                               "--model", "all")
         assert code == 0 and out == "18643560\n"
 
+    def test_free_score_beyond_old_length_cap(self, capsys):
+        # under (1, 600) only the all-match alignment has a positive score
+        code, out, _ = invoke(capsys, "count", "--length", "513", "--match", "1",
+                              "--mismatch", "600")
+        assert code == 0 and out == "1\n"
+
     def test_csv_fields(self, capsys):
         code, out, _ = invoke(capsys, "count", "--length", "6", "--score", "4",
                               "--match", "1", "--mismatch", "1", "--format", "csv")
@@ -122,6 +128,12 @@ class TestGenerate:
 
     def test_infeasible(self, capsys):
         assert invoke(capsys, "generate", "--length", "5", "--score", "2")[0] == 3
+
+    def test_free_score_beyond_old_length_cap(self, capsys):
+        code, out, _ = invoke(capsys, "generate", "--length", "513", "--match", "1",
+                              "--mismatch", "600", "--samples", "2")
+        assert code == 0
+        assert out.splitlines()[:2] == ["1" * 513] * 2
 
 
 class TestSensitivity:

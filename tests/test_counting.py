@@ -4,9 +4,7 @@ import pytest
 
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous
 from seedsense.counting import (
-    C_TABLE_HORIZON_LIMIT,
     Composition,
-    CountTableC,
     CountTableD,
     count_homogeneous,
     count_unconstrained,
@@ -78,36 +76,23 @@ class TestCountTableD:
                         assert table.count(y, k) == suffix_walk_count(s, p, target, y, k), \
                             (scheme, target, y, k)
 
-
-class TestCountTableC:
-    def test_base(self):
-        for scheme in SCHEMES:
-            assert CountTableC(scheme, 3).count(0, 0, 1) == 1
-
-    def test_examples(self):
-        assert CountTableC(S11, 5).count(0, 0, 5) == 2  # 11111 and 11011
-        assert CountTableC(S13, 3).count(0, 0, 3) == 1  # 111 only
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CountTableC(S13, C_TABLE_HORIZON_LIMIT + 1)
-        table = CountTableC(S13, 4)
-        with pytest.raises(ValueError):
-            table.count(3, 2, 2)
-        with pytest.raises(ValueError):
-            table.count(0, 0, 5)
-
-    def test_matches_free_enumeration(self):
-        for scheme in SCHEMES:
-            for n in range(1, 13):
-                expected = len(enumerate_homogeneous(scheme, n))
-                assert CountTableC(scheme, n).count(0, 0, n) == expected
+    def test_probability_conservation(self):
+        # exact integer identity: count(y, k) = guarded match + mismatch branches
+        for scheme, target in ((S11, 5), (S13, 3), (S23, 4)):
+            s, p = scheme.match_score, scheme.mismatch_penalty
+            table = CountTableD(scheme, target, 12)
+            for k in range(2, 13):
+                for y in range(target):
+                    up = table.count(y + s, k - 1) if y + s < target or k == 1 else 0
+                    down = table.count(y - p, k - 1) if y - p > 0 else 0
+                    assert table.count(y, k) == up + down
 
 
 class TestCountHomogeneous:
     def test_examples(self):
         assert count_homogeneous(S11, 5, 3) == 1
-        assert count_homogeneous(S11, 5) == 2
+        assert count_homogeneous(S11, 5) == 2  # 11111 and 11011
+        assert count_homogeneous(S13, 3) == 1  # 111 only
         assert count_homogeneous(S13, 5, 2) == 0  # infeasible is a value, not an error
 
     def test_matches_enumeration(self):
@@ -116,6 +101,11 @@ class TestCountHomogeneous:
                 for target in feasible_scores(scheme, n):
                     assert count_homogeneous(scheme, n, target) == \
                         len(enumerate_homogeneous(scheme, n, target))
+
+    def test_matches_free_enumeration(self):
+        for scheme in SCHEMES:
+            for n in range(1, 13):
+                assert count_homogeneous(scheme, n) == len(enumerate_homogeneous(scheme, n))
 
     def test_score_partition(self):
         for scheme in SCHEMES:

@@ -1,16 +1,17 @@
+import os
 from collections import Counter
-from fractions import Fraction
 
 import pytest
+import scipy.stats
 
+import seedsense.sampling as sampling_mod
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous, is_homogeneous, score
-from seedsense.counting import CountTableC, CountTableD, InfeasibleScore
+from seedsense.counting import InfeasibleScore
 from seedsense.sampling import (
     GenerationBudgetExceeded,
     RandomStream,
     _GOLDEN,
     _splitmix64,
-    next_letter_probability,
     sample_fixed,
     sample_free,
     sample_rejection,
@@ -53,55 +54,6 @@ class TestRandomStream:
         assert len(set(children)) == 64
         with pytest.raises(ValueError):
             base.spawn(-1)
-
-
-class TestNextLetterProbability:
-    def test_fixed_table_forced_match(self):
-        table = CountTableD(S11, 3, 5)
-        assert next_letter_probability(table, (0, 5)) == 1
-
-    def test_fixed_table_ratio(self):
-        table = CountTableD(S11, 3, 5)
-        expected = Fraction(table.count(2, 3), table.count(1, 4))
-        got = next_letter_probability(table, (1, 4))
-        assert got == expected
-        assert 0 <= got <= 1
-
-    def test_free_table_base(self):
-        table = CountTableC(S13, 4)
-        assert next_letter_probability(table, (0, 0, 1)) == 1
-
-    def test_free_table_ratio(self):
-        table = CountTableC(S11, 6)
-        expected = Fraction(table.count(1, 1, 5), table.count(0, 0, 6))
-        got = next_letter_probability(table, (0, 0, 6))
-        assert got == expected == 1  # the first letter of a positive walk is a match
-
-    def test_free_table_interior_ratio(self):
-        table = CountTableC(S11, 6)
-        got = next_letter_probability(table, (2, 3, 4))
-        assert got == Fraction(table.count(3, 3, 3), table.count(2, 3, 4))
-        assert 0 < got < 1
-
-    def test_unreachable_state_raises(self):
-        table = CountTableD(S13, 2, 4)
-        with pytest.raises(ValueError):
-            next_letter_probability(table, (1, 2))
-
-    def test_rejects_other_tables(self):
-        with pytest.raises(TypeError):
-            next_letter_probability(object(), (0, 1))
-
-    def test_probability_conservation(self):
-        # exact integer identity: count(y, k) = guarded match + mismatch branches
-        for scheme, target in ((S11, 5), (S13, 3), (ScoringScheme(2, 3), 4)):
-            s, p = scheme.match_score, scheme.mismatch_penalty
-            table = CountTableD(scheme, target, 12)
-            for k in range(2, 13):
-                for y in range(target):
-                    up = table.count(y + s, k - 1) if y + s < target or k == 1 else 0
-                    down = table.count(y - p, k - 1) if y - p > 0 else 0
-                    assert table.count(y, k) == up + down
 
 
 class TestSampleFixed:
@@ -164,6 +116,56 @@ class TestSampleFree:
         serial = sample_free(S11, 10, 30, RandomStream(4), workers=1)
         split = sample_free(S11, 10, 30, RandomStream(4), workers=3)
         assert serial == split
+
+    def test_uniform_across_score_classes(self):
+        # 91 members in 5 score classes: {4: 16, 6: 40, 8: 26, 10: 8, 12: 1}
+        members = [str(a) for a in enumerate_homogeneous(S11, 12)]
+        assert len(members) == 91
+        draws = 20_000
+        counts = Counter(str(a) for a in sample_free(S11, 12, draws, RandomStream(2024)))
+        assert set(counts) <= set(members)
+        expected = draws / len(members)
+        stat = sum((counts[m] - expected) ** 2 / expected for m in members)
+        assert scipy.stats.chi2.sf(stat, len(members) - 1) > 0.001
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Replace the process pool with a serial stand-in that records its size."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize("draw", [
+        lambda workers: sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=workers),
+        lambda workers: sample_free(S11, 10, 30, RandomStream(4), workers=workers),
+    ], ids=["fixed", "free"])
+    def test_capped_at_cpu_count(self, draw, opened, monkeypatch):
+        serial = draw(1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert draw(10_000) == serial
+        assert opened == [2]
+
+    def test_unknown_cpu_count_means_serial(self, opened, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        serial = sample_fixed(S11, 11, 5, 30, RandomStream(4))
+        assert sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=8) == serial
+        assert opened == []
 
 
 class TestSampleRejection:

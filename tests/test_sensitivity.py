@@ -15,7 +15,6 @@ from seedsense.sensitivity import (
     hit_probability,
     hit_probability_profile,
     mc_estimate,
-    viable_suffixes,
 )
 
 from oracles import hit_fractions
@@ -66,25 +65,6 @@ class TestDecimalRatio:
             decimal_ratio(-1, 2)
         with pytest.raises(ValueError):
             decimal_ratio(1, 2, -1)
-
-
-class TestViableSuffixes:
-    def test_weight_one(self):
-        assert viable_suffixes(Seed("1")) == {"", "1"}
-
-    def test_contiguous(self):
-        assert viable_suffixes(Seed("111")) == {"", "1", "11", "111"}
-
-    def test_spaced(self):
-        states = viable_suffixes(Seed("101"))
-        assert states == {"", "1", "01", "11", "101", "111"}
-
-    def test_size_bound(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            seed = Seed(random_seed_pattern(rng, 10))
-            bound = seed.span * 2 ** (seed.span - seed.weight) + 1
-            assert len(viable_suffixes(seed)) <= bound
 
 
 class TestReports:
