@@ -25,7 +25,7 @@ from .alignments import (
     strategy_detects,
     to_walk,
 )
-from .counting import CountTableD, count_homogeneous
+from .counting import CountTableD, count_homogeneous, positive_scores
 from .sampling import RandomStream, sample_fixed, sample_free
 
 CHECK_SCHEMES = (ScoringScheme(1, 1), ScoringScheme(1, 3), ScoringScheme(2, 3))
@@ -80,15 +80,14 @@ def check_counts_match_enumeration(max_length: int) -> CheckResult:
 
 
 def check_score_partition(max_length: int) -> CheckResult:
-    """Fixed-score counts summed over feasible scores equal the free-score count."""
+    """positive_scores gives exactly the feasible positive scores, the classes a free count sums."""
     for scheme in CHECK_SCHEMES:
         for n in range(1, max_length + 1):
-            parts = sum(count_homogeneous(scheme, n, target)
-                        for target in _feasible_scores(scheme, n))
-            whole = count_homogeneous(scheme, n)
-            if parts != whole:
+            listed = list(positive_scores(scheme, n))
+            feasible = sorted(_feasible_scores(scheme, n))
+            if listed != feasible:
                 return CheckResult("score-partition", False,
-                                   f"n={n}, {scheme}: {parts} != {whole}")
+                                   f"n={n}, {scheme}: {listed} != {feasible}")
     return CheckResult("score-partition", True, f"lengths to {max_length}")
 
 

@@ -6,13 +6,18 @@ Two alignment models share one dynamic program:
   score S (walks confined to the open band (0, S) until the final step);
 * ``all``: uniform over every binary sequence of length n and score S.
 
-The recursion is run over integer counts rather than probabilities: a layer
-maps (scanner state, prefix score) to the number of admissible prefixes, and
-a single division at the end produces the exact rational probability. The
-scanner is a deterministic automaton over {0, 1} that remembers just enough
-of the recent suffix to decide future seed matches; suffix letters that can
-no longer contribute to a match window are dropped, which keeps the state
-count near span * 2**(span - weight).
+The program sweeps the prefixes left to right over integer counts: a layer
+maps (prefix score, scanner state) to the number of prefixes. After each
+step it keeps only the prefix scores that can still end on S by the longest
+requested length. That window is the only difference between the models:
+the homogeneous one also clamps it to the open band (0, S). Before the
+window is applied, the prefixes that sit at score S give both sides of the
+answer at each requested length: all of them are the population, the
+accepted ones the hits, and one division gives the exact rational
+probability. The scanner is a deterministic automaton over {0, 1} that
+remembers just enough of the recent suffix to decide future seed matches;
+suffix letters that can no longer contribute to a match window are dropped,
+which keeps the state count near span * 2**(span - weight).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
-from .counting import CountTableD, InfeasibleScore, feasible_composition
+from .counting import InfeasibleScore, feasible_composition
 from .sampling import RandomStream, _fixed_table, _iter_bits
 
 HOMOGENEOUS = "homogeneous"
@@ -150,99 +155,58 @@ class _HitAutomaton:
         self.size = len(states)
 
 
-def _homogeneous_profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
-                         lengths: list[int], check: bool = False) -> dict[int, tuple[int, int]]:
-    """(hits, population) per requested length, homogeneous model, shared one pass."""
-    s, p = scheme.match_score, scheme.mismatch_penalty
-    table = CountTableD(scheme, score, max(lengths))
-    rows = table._rows
-    step0, step1, accept = automaton.step0, automaton.step1, automaton.accept
-    wanted = set(lengths)
-    out: dict[int, tuple[int, int]] = {}
-    layer: dict[tuple[int, int], int] = {(automaton.start, 0): 1}
-    for i in range(1, max(lengths) + 1):
-        if i in wanted:
-            # the final step must be a match landing exactly on the target
-            prev = score - s
-            hits = sum(c for (st, y), c in layer.items()
-                       if y == prev and step1[st] == accept)
-            out[i] = (hits, rows[i][0])
-        nxt: dict[tuple[int, int], int] = {}
-        get = nxt.get
-        for (st, y), c in layer.items():
-            up = y + s
-            if up < score:
-                key = (step1[st], up)
-                nxt[key] = get(key, 0) + c
-            down = y - p
-            if down > 0:
-                key = (step0[st], down)
-                nxt[key] = get(key, 0) + c
-        layer = nxt
-        if check:
-            by_y: dict[int, int] = {}
-            for (st, y), c in layer.items():
-                by_y[y] = by_y.get(y, 0) + c
-            for y, c in by_y.items():
-                assert c == table.count(score - y, i), (i, y, c)
-    return out
-
-
-def _uniform_profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
-                     lengths: list[int]) -> dict[int, tuple[int, int]]:
-    """(hits, population) per requested length, uniform fixed-score model."""
+def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
+             lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
+    """(hits, population) per requested length, both read from one sweep."""
     s, p = scheme.match_score, scheme.mismatch_penalty
     horizon = max(lengths)
     step0, step1, accept = automaton.step0, automaton.step1, automaton.accept
     wanted = set(lengths)
     out: dict[int, tuple[int, int]] = {}
-    layer: dict[tuple[int, int], int] = {(automaton.start, 0): 1}
+    # a layer maps each prefix score to the scanner states reached with it, and
+    # those to the number of prefixes
+    layer: dict[int, dict[int, int]] = {0: {automaton.start: 1}}
     for i in range(1, horizon + 1):
-        remaining = horizon - i
-        nxt: dict[tuple[int, int], int] = {}
-        get = nxt.get
-        for (st, y), c in layer.items():
-            for tgt, moved in ((step1[st], y + s), (step0[st], y - p)):
-                # drop states that can no longer reach the score by any wanted length
-                if moved + remaining * s < score or moved - remaining * p > score:
-                    continue
-                key = (tgt, moved)
-                nxt[key] = get(key, 0) + c
-        layer = nxt
+        nxt: dict[int, dict[int, int]] = {}
+        for y, row in layer.items():
+            for step, moved in ((step1, y + s), (step0, y - p)):
+                target = nxt.setdefault(moved, {})
+                get = target.get
+                for st, c in row.items():
+                    to = step[st]
+                    target[to] = get(to, 0) + c
         if i in wanted:
-            hits = sum(c for (st, y), c in layer.items() if y == score and st == accept)
-            comp = feasible_composition(scheme, i, score)
-            out[i] = (hits, math.comb(i, comp.matches) if comp else 0)
+            # read before the window, which excludes the score itself when homogeneous
+            row = nxt.get(score, {})
+            out[i] = (row.get(accept, 0), sum(row.values()))
+        # keep the prefix scores that can still end on the score by the horizon
+        remaining = horizon - i
+        lo, hi = score - remaining * s, score + remaining * p
+        if model == HOMOGENEOUS:
+            # a homogeneous prefix stays inside the open band (0, score)
+            lo, hi = max(lo, 1), min(hi, score - 1)
+        layer = {y: row for y, row in nxt.items() if lo <= y <= hi}
     return out
 
 
 def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, score: int,
-                            lengths: list[int], model: str = HOMOGENEOUS,
-                            check: bool = False) -> list[SensitivityReport]:
+                            lengths: list[int],
+                            model: str = HOMOGENEOUS) -> list[SensitivityReport]:
     """Exact hit probabilities for several lengths at one fixed score.
 
-    All lengths share a single table build and counting pass, so sweeping a
-    length range costs about as much as the longest single query.
+    All lengths share a single counting pass, so sweeping a length range
+    costs about as much as the longest single query.
     """
     if not lengths:
         raise ValueError("lengths must be nonempty")
-    if any(n < 1 for n in lengths):
-        raise ValueError("lengths must be >= 1")
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
-    if model == HOMOGENEOUS and score < 1:
-        raise ValueError("homogeneous alignments require score >= 1")
-    automaton = _HitAutomaton(strategy)
-    if model == HOMOGENEOUS:
-        profile = _homogeneous_profile(automaton, scheme, score, lengths, check=check)
-    else:
-        profile = _uniform_profile(automaton, scheme, score, lengths)
+    queries = [SensitivityQuery(strategy, scheme, n, score, model) for n in lengths]
+    profile = _profile(_HitAutomaton(strategy), scheme, score, lengths, model)
     reports = []
-    for n in lengths:
-        hits, population = profile[n]
+    for query in queries:
+        hits, population = profile[query.length]
         if population == 0:
-            raise InfeasibleScore(f"no alignments of length {n} and score {score} under {scheme}")
-        query = SensitivityQuery(strategy, scheme, n, score, model)
+            raise InfeasibleScore(
+                f"no alignments of length {query.length} and score {score} under {scheme}")
         reports.append(SensitivityReport(query, hits, population))
     return reports
 

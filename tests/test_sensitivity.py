@@ -187,6 +187,30 @@ class TestOracleEquivalence:
                     query(pattern, scheme, n, total, UNIFORM, occurrences, overlap))
                 assert (report.numerator, report.denominator) == (all_hits, alln)
             checked += 1
+        # multi-length profiles: each shorter length is read mid-sweep, before
+        # that step's score window (set by the longest length) is applied
+        profiles = {HOMOGENEOUS: 0, UNIFORM: 0}
+        while min(profiles.values()) < 20:
+            scheme = ScoringScheme(rng.randint(1, 5), rng.randint(1, 5))
+            s, p = scheme.match_score, scheme.mismatch_penalty
+            pattern = random_seed_pattern(rng, 5)
+            occurrences = rng.randint(1, 3)
+            overlap = rng.randint(0, len(pattern) - 1)
+            length = rng.randint(1, 10)
+            matches = rng.randint(0, length)
+            total = matches * s - (length - matches) * p
+            oracle = {n: hit_fractions(n, s, p, total, pattern, occurrences, overlap)
+                      for n in range(1, 11)}
+            for model, side in ((HOMOGENEOUS, 0), (UNIFORM, 1)):
+                populated = [n for n in oracle if oracle[n][side][1]]
+                if len(populated) < 2:
+                    continue
+                lengths = sorted(rng.sample(populated, min(len(populated), rng.randint(2, 4))))
+                reports = hit_probability_profile(
+                    strategy(pattern, occurrences, overlap), scheme, total, lengths, model)
+                assert [(r.numerator, r.denominator) for r in reports] == \
+                    [oracle[n][side] for n in lengths]
+                profiles[model] += 1
 
 
 class TestMultiOccurrence:
@@ -258,10 +282,6 @@ class TestProfile:
             single = hit_probability(query("1011", S13, n, 4, UNIFORM))
             assert (report.numerator, report.denominator) == \
                 (single.numerator, single.denominator)
-
-    def test_debug_checks_pass(self):
-        hit_probability_profile(strategy("1101"), S13, 6, [14], check=True)
-        hit_probability_profile(strategy("11"), S11, 4, [6, 10], check=True)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,19 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+import seedsense
+
+PACKAGE = Path(seedsense.__file__).parent
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so an invariant check written as
+    # one would silently stop running; checks must raise instead
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"
