@@ -59,7 +59,8 @@ class Alignment:
         return tuple((self.bits >> i) & 1 for i in range(self.length))
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        # letter b_1 first: the binary numeral, zero-padded to the length, reversed
+        return format(self.bits, f"0{self.length}b")[::-1]
 
 
 @dataclass(frozen=True)

@@ -100,10 +100,11 @@ def _emit(rows: list[dict], text_lines: list[str], fmt: str, output_path: str | 
     if fmt == "text":
         payload = "".join(line + "\n" for line in text_lines)
     elif fmt == "csv":
+        # every row of a command has the same keys in the same order
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
         payload = buffer.getvalue()
     else:
         payload = json.dumps(rows, indent=2) + "\n"
@@ -170,15 +171,21 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
         drawn = sample_free(scheme, length, samples, stream, workers=workers)
     else:
         drawn = sample_fixed(scheme, length, score, samples, stream, workers=workers)
-    rows = [{
-        "alignment": str(a), "match": match, "mismatch": mismatch, "length": length,
-        "score": score, "rng_seed": rng_seed, "samples": samples,
-    } for a in drawn]
-    text_lines = [str(a) for a in drawn]
-    text_lines.append(
-        f"# match={match} mismatch={mismatch} length={length} "
-        f"score={'any' if score is None else score} rng-seed={rng_seed} samples={samples}"
-    )
+    texts = [str(a) for a in drawn]
+    rows: list[dict] = []
+    text_lines: list[str] = []
+    # each sample is rendered once, into the requested format only
+    if fmt == "text":
+        text_lines = texts
+        text_lines.append(
+            f"# match={match} mismatch={mismatch} length={length} "
+            f"score={'any' if score is None else score} rng-seed={rng_seed} samples={samples}"
+        )
+    else:
+        rows = [{
+            "alignment": text, "match": match, "mismatch": mismatch, "length": length,
+            "score": score, "rng_seed": rng_seed, "samples": samples,
+        } for text in texts]
     _emit(rows, text_lines, fmt, output_path)
 
 

@@ -1,28 +1,33 @@
 """Uniform random generation of homogeneous alignments.
 
-One sampler serves both fixed and free scores. It walks a ``CountTableD``
-left to right; at each step the exact match probability is the ratio of the
-suffix count after a match step to the suffix count of the current state.
-Steps are decided by comparing a uniform integer draw below the denominator
-against the numerator, so no floating point is involved and the
-distribution over the target set is exactly uniform.
+One sampler serves both fixed and free scores, by unranking (the recursive
+method of Flajolet, Zimmermann & Van Cutsem). A sample draws one uniform rank
+below the population size and walks a ``CountTableD`` left to right: it takes
+the match step when the rank is below the number of completions after a
+match, and otherwise subtracts that number and takes the mismatch step. Each
+member of the population has exactly one rank, so a uniform rank gives an
+exactly uniform alignment, with integer arithmetic only.
 
-A free score is the disjoint union of its fixed-score classes, so a
-free-score sample first picks a class with probability proportional to its
-size, by one integer draw below the total population (the recursive method
-of Flajolet, Zimmermann & Van Cutsem), then walks that class's table.
+A free score is the disjoint union of its fixed-score classes. Their rank
+ranges are concatenated in ascending score order: the rank first picks a
+class by subtracting class sizes, and the remainder is unranked in that
+class's table. The uniform model of ``mc`` unranks a fixed-size subset of
+mismatch positions the same way, over Pascal's triangle.
 
-Sample i always draws from the child stream ``stream.spawn(i)``, never from
-the base stream directly. Output therefore depends only on (seed, sample
+The rank of sample i is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3"): its 64-bit words are the SplitMix64 sequence
+started at the child seed ``stream.spawn(i).seed``, and a try that is not
+below the bound is rejected. Output therefore depends only on (seed, sample
 index) and is identical no matter how samples are split across workers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
 from .counting import CountTableD, InfeasibleScore, feasible_composition, positive_scores
@@ -39,10 +44,15 @@ class GenerationBudgetExceeded(RuntimeError):
 
 
 def _splitmix64(x: int) -> int:
-    # SplitMix64 finalizer (Steele, Lea & Flood); used only to derive child seeds
+    # SplitMix64 finalizer (Steele, Lea & Flood)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
     return x ^ (x >> 31)
+
+
+def _child_seed(seed: int, index: int) -> int:
+    # the (index+1)-th output of the SplitMix64 sequence started at seed
+    return _splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
 class RandomStream:
@@ -51,7 +61,8 @@ class RandomStream:
     Wraps the Mersenne Twister (random.Random) and draws only via
     getrandbits, whose output is stable across platforms and Python
     releases. Child stream i is seeded with the (i+1)-th output of the
-    SplitMix64 sequence started at this stream's seed.
+    SplitMix64 sequence started at this stream's seed. The samplers read
+    only the seed: they derive each sample's rank with ``_rank``.
     """
 
     def __init__(self, seed: int):
@@ -63,23 +74,40 @@ class RandomStream:
     def getrandbits(self, k: int) -> int:
         return self._rng.getrandbits(k)
 
-    def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound), by rejection on getrandbits."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound == 1:
-            return 0
-        k = (bound - 1).bit_length()
-        getrandbits = self._rng.getrandbits
-        r = getrandbits(k)
-        while r >= bound:
-            r = getrandbits(k)
-        return r
-
     def spawn(self, index: int) -> RandomStream:
         if index < 0:
             raise ValueError("index must be nonnegative")
-        return RandomStream(_splitmix64((self.seed + (index + 1) * _GOLDEN) & _MASK64))
+        return RandomStream(_child_seed(self.seed, index))
+
+
+def _rank(seed: int, index: int, bound: int) -> int:
+    """Uniform integer in [0, bound) for sample `index` of the stream seeded `seed`.
+
+    The words are the SplitMix64 sequence started at the child seed, which
+    is ``RandomStream(seed).spawn(index).seed``. Starting from the scrambled
+    child seed keeps the words of neighbouring indices apart; stepping
+    ``seed + (index+1)*GOLDEN`` directly would make a sample's retry word the
+    next sample's first word. A k-bit bound takes ceil(k/64) words per try,
+    and a try that is not below the bound is rejected.
+    """
+    if bound < 1:
+        raise ValueError("bound must be positive")
+    k = (bound - 1).bit_length()
+    words = -(-k // 64)
+    drop = 64 * words - k
+    state = _child_seed(seed, index)
+    while True:
+        r = 0
+        for _ in range(words):
+            state = (state + _GOLDEN) & _MASK64
+            r = r << 64 | _splitmix64(state)
+        r >>= drop
+        if r < bound:
+            return r
+
+
+def _ranks(seed: int, bound: int, count: int, start: int = 0) -> Iterator[int]:
+    return (_rank(seed, i, bound) for i in range(start, start + count))
 
 
 def _fixed_table(scheme: ScoringScheme, n: int, score: int) -> CountTableD:
@@ -101,49 +129,73 @@ def _tables(scheme: ScoringScheme, n: int, score: int | None) -> list[CountTable
     return [table for table in tables if table.count(0, n)]
 
 
-def _iter_bits(tables: list[CountTableD], n: int, count: int, stream: RandomStream,
-               start: int = 0) -> Iterator[int]:
-    """Sample bit strings drawn uniformly from the union of the tables' populations.
+def _population(tables: list[CountTableD], n: int) -> int:
+    return sum(table.count(0, n) for table in tables)
 
-    With several tables, a sample's first draw picks one with probability
-    proportional to its population (concatenated rank ranges); the walk then
-    runs inside it. A single table takes no pick draw.
+
+def _unrank(classes: list[tuple[int, list[list[int]]]], on_match: int, on_mismatch: int,
+            ranks: Iterable[int]) -> Iterator[int]:
+    """The bit string of each rank below the classes' total size.
+
+    Each class is (size, steps); the classes' rank ranges are concatenated in
+    list order, and a rank's class is picked by subtracting sizes. In a
+    class, ``steps[j][y]`` is the number of completions that take a match at
+    step j from ordinate y. The walk starts at ordinate 0 and moves it by
+    `on_match` or `on_mismatch`.
     """
-    s = tables[0].scheme.match_score
-    p = tables[0].scheme.mismatch_penalty
-    sizes = [table.count(0, n) for table in tables]
-    total = sum(sizes)
-    for i in range(start, start + count):
-        randbelow = stream.spawn(i).randbelow
-        table = tables[0]
-        if len(tables) > 1:
-            r = randbelow(total)
-            for table, size in zip(tables, sizes):
-                if r < size:
-                    break
-                r -= size
-        target = table.score
-        rows = table._rows
+    for r in ranks:
+        for size, steps in classes:
+            if r < size:
+                break
+            r -= size
         bits = 0
+        bit = 1
         y = 0
-        for k in range(n, 0, -1):
-            up = y + s
-            if k > 1:
-                num = rows[k - 1][up] if up < target else 0
+        for after_match in steps:
+            num = after_match[y]
+            if r < num:
+                bits |= bit
+                y += on_match
             else:
-                num = 1 if up == target else 0
-            if randbelow(rows[k][y]) < num:
-                bits |= 1 << (n - k)
-                y = up
-            else:
-                y -= p
+                r -= num
+                y += on_mismatch
+            bit <<= 1
         yield bits
+
+
+def _match_counts(table: CountTableD, n: int) -> list[list[int]]:
+    # completions of a length-n walk after a match at each step, by ordinate:
+    # the table row of the steps left, shifted down by the match score
+    s = table.scheme.match_score
+    rows = table._rows
+    last = [0] * table.score
+    last[table.score - s] = 1
+    return [rows[k][s:] + [0] * s for k in range(n - 1, 0, -1)] + [last]
+
+
+def _iter_bits(tables: list[CountTableD], n: int, ranks: Iterable[int]) -> Iterator[int]:
+    """The homogeneous alignment of each rank below the tables' total population."""
+    classes = [(table.count(0, n), _match_counts(table, n)) for table in tables]
+    scheme = tables[0].scheme
+    return _unrank(classes, scheme.match_score, -scheme.mismatch_penalty, ranks)
+
+
+def _iter_uniform_bits(n: int, mismatches: int, ranks: Iterable[int]) -> Iterator[int]:
+    """For each rank below comb(n, mismatches), the length-n bit string with
+    that many zeros (the uniform model).
+
+    The ordinate counts the mismatches placed so far; with u placed before
+    step j, comb(n - j - 1, mismatches - u) completions take a match there.
+    """
+    steps = [[math.comb(n - j - 1, mismatches - u) for u in range(mismatches + 1)]
+             for j in range(n)]
+    return _unrank([(math.comb(n, mismatches), steps)], 0, 1, ranks)
 
 
 def _sample_range(match: int, mismatch: int, n: int, score: int | None,
                   seed: int, start: int, count: int) -> list[int]:
     tables = _tables(ScoringScheme(match, mismatch), n, score)
-    return list(_iter_bits(tables, n, count, RandomStream(seed), start))
+    return list(_iter_bits(tables, n, _ranks(seed, _population(tables, n), count, start)))
 
 
 def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
@@ -163,7 +215,8 @@ def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
                         stream.seed, lo, hi - lo) for lo, hi in ranges]),
             )
         return [Alignment(n, bits) for part in parts for bits in part]
-    return [Alignment(n, bits) for bits in _iter_bits(tables, n, count, stream)]
+    ranks = _ranks(stream.seed, _population(tables, n), count)
+    return [Alignment(n, bits) for bits in _iter_bits(tables, n, ranks)]
 
 
 def _index_ranges(count: int, workers: int) -> list[tuple[int, int]]:

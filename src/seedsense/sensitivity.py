@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
 from .counting import InfeasibleScore, feasible_composition
-from .sampling import RandomStream, _fixed_table, _iter_bits
+from .sampling import RandomStream, _fixed_table, _iter_bits, _iter_uniform_bits, _ranks
 
 HOMOGENEOUS = "homogeneous"
 UNIFORM = "all"
@@ -238,21 +238,6 @@ class McEstimate:
         return math.sqrt(f * (1.0 - f) / self.samples)
 
 
-def _iter_uniform_bits(n: int, mismatches: int, count: int, stream: RandomStream):
-    full = (1 << n) - 1
-    for i in range(count):
-        randbelow = stream.spawn(i).randbelow
-        # Floyd's algorithm: uniform subset of `mismatches` positions
-        chosen: set[int] = set()
-        bits = full
-        for j in range(n - mismatches, n):
-            t = randbelow(j + 1)
-            pos = t if t not in chosen else j
-            chosen.add(pos)
-            bits ^= 1 << pos
-        yield bits
-
-
 def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:
     """Monte-Carlo hit-rate estimate with binomial standard error."""
     if samples < 1:
@@ -265,14 +250,16 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     n = query.length
     if query.model == HOMOGENEOUS:
         table = _fixed_table(query.scheme, n, query.score)
-        bit_stream = _iter_bits([table], n, samples, stream)
+        ranks = _ranks(stream.seed, table.count(0, n), samples)
+        bit_stream = _iter_bits([table], n, ranks)
     else:
         comp = feasible_composition(query.scheme, n, query.score)
         if comp is None:
             raise InfeasibleScore(
                 f"no alignments of length {n} and score {query.score} under {query.scheme}"
             )
-        bit_stream = _iter_uniform_bits(n, comp.mismatches, samples, stream)
+        ranks = _ranks(stream.seed, math.comb(n, comp.mismatches), samples)
+        bit_stream = _iter_uniform_bits(n, comp.mismatches, ranks)
     hits = 0
     for bits in bit_stream:
         if _bits_detected(bits, n, mask, span, needed, min_gap):

@@ -50,6 +50,16 @@ class TestAlignment:
         for text in ("1", "0", "10110", "1" * 40):
             assert str(A(text)) == text
 
+    def test_string_is_letters_in_order(self):
+        # str() renders b_1 first; pinned against the per-letter definition,
+        # including leading and trailing mismatches
+        rng = random.Random(5)
+        for n in range(1, 71):
+            for bits in (0, (1 << n) - 1, 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(5))):
+                a = Alignment(n, bits)
+                assert str(a) == "".join("1" if letter else "0" for letter in a.letters())
+                assert Alignment.from_string(str(a)) == a
+
     def test_rejects_bad_strings(self):
         for text in ("", "12", "1a0"):
             with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import os
 from collections import Counter
 
@@ -11,7 +12,13 @@ from seedsense.sampling import (
     GenerationBudgetExceeded,
     RandomStream,
     _GOLDEN,
+    _fixed_table,
+    _iter_bits,
+    _iter_uniform_bits,
+    _population,
+    _rank,
     _splitmix64,
+    _tables,
     sample_fixed,
     sample_free,
     sample_rejection,
@@ -32,15 +39,6 @@ class TestRandomStream:
         a = RandomStream(123)
         b = RandomStream(123)
         assert [a.getrandbits(32) for _ in range(20)] == [b.getrandbits(32) for _ in range(20)]
-        assert [a.randbelow(1000) for _ in range(20)] == [b.randbelow(1000) for _ in range(20)]
-
-    def test_randbelow_range(self):
-        stream = RandomStream(7)
-        for bound in (1, 2, 3, 10, 1 << 70):
-            for _ in range(50):
-                assert 0 <= stream.randbelow(bound) < bound
-        with pytest.raises(ValueError):
-            stream.randbelow(0)
 
     def test_splitmix_reference_vector(self):
         # first output of the published SplitMix64 sequence seeded with 0
@@ -54,6 +52,49 @@ class TestRandomStream:
         assert len(set(children)) == 64
         with pytest.raises(ValueError):
             base.spawn(-1)
+
+
+class TestRank:
+    def test_range(self):
+        for bound in (1, 2, 3, 10, 1 << 70):
+            for i in range(50):
+                assert 0 <= _rank(7, i, bound) < bound
+        with pytest.raises(ValueError):
+            _rank(7, 0, 0)
+
+    def test_words_continue_the_child_seed(self):
+        # a 64-bit bound takes the first word after spawn(i).seed, unrejected
+        for i in range(8):
+            child = RandomStream(99).spawn(i).seed
+            assert _rank(99, i, 1 << 64) == _splitmix64((child + _GOLDEN) & ((1 << 64) - 1))
+
+    def test_neighbouring_indices_do_not_share_words(self):
+        # bound 2**20 + 1 rejects about half the tries; a retry word that is the
+        # next index's first word would make about a quarter of neighbours equal
+        bound = (1 << 20) + 1
+        ranks = [_rank(3, i, bound) for i in range(20_000)]
+        equal = sum(a == b for a, b in zip(ranks, ranks[1:]))
+        assert equal / (len(ranks) - 1) < 0.001
+
+
+class TestUnranking:
+    """Every rank below the population, walked directly, gives each member once."""
+
+    def test_fixed_score_bijection(self):
+        table = _fixed_table(S13, 20, 8)
+        members = sorted(a.bits for a in enumerate_homogeneous(S13, 20, 8))
+        assert sorted(_iter_bits([table], 20, range(table.count(0, 20)))) == members
+
+    def test_free_score_bijection(self):
+        tables = _tables(S11, 12, None)
+        members = sorted(a.bits for a in enumerate_homogeneous(S11, 12))
+        assert len(members) == 91
+        assert sorted(_iter_bits(tables, 12, range(_population(tables, 12)))) == members
+
+    def test_uniform_model_bijection(self):
+        members = [bits for bits in range(1 << 10) if bits.bit_count() == 7]
+        assert len(members) == math.comb(10, 3)
+        assert sorted(_iter_uniform_bits(10, 3, range(len(members)))) == members
 
 
 class TestSampleFixed:
