@@ -11,7 +11,6 @@ from .alignments import (
     from_walk,
     is_homogeneous,
     is_homogeneous_segments,
-    occurrence_ends,
     score,
     seed_detects,
     strategy_detects,
@@ -26,11 +25,9 @@ from .counting import (
     feasible_composition,
 )
 from .sampling import (
-    GenerationBudgetExceeded,
     RandomStream,
     sample_fixed,
     sample_free,
-    sample_rejection,
 )
 from .search import RankedSeed, RankedSeeds, SearchSpec, enumerate_seeds, find_optimal, seed_count
 from .sensitivity import (
@@ -52,7 +49,6 @@ __all__ = [
     "Composition",
     "CountTableD",
     "DetectionStrategy",
-    "GenerationBudgetExceeded",
     "HOMOGENEOUS",
     "InfeasibleScore",
     "McEstimate",
@@ -79,10 +75,8 @@ __all__ = [
     "is_homogeneous",
     "is_homogeneous_segments",
     "mc_estimate",
-    "occurrence_ends",
     "sample_fixed",
     "sample_free",
-    "sample_rejection",
     "score",
     "seed_count",
     "seed_detects",

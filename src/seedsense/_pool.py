@@ -1,0 +1,25 @@
+"""The one worker-process pool behind the engine's parallel loops."""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence
+
+
+def map_strided(fn: Callable[..., list], items: Sequence, workers: int, *args) -> list:
+    """``fn(chunk, *args)`` over the strided chunks ``items[w::W]``, results in item order.
+
+    ``fn`` returns one result per item of its chunk. ``W`` is `workers`
+    capped at the CPU count and at the number of items; with ``W <= 1`` the
+    whole sequence goes to one call in this process, so no process starts.
+    """
+    width = min(workers, os.cpu_count() or 1, len(items))
+    if width <= 1:
+        return fn(items, *args)
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        futures = [pool.submit(fn, items[w::width], *args) for w in range(width)]
+        results = [None] * len(items)
+        for w, future in enumerate(futures):
+            results[w::width] = future.result()
+    return results

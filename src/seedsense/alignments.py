@@ -201,14 +201,6 @@ def seed_detects(seed: Seed, alignment: Alignment) -> bool:
     return False
 
 
-def occurrence_ends(seed: Seed, alignment: Alignment) -> list[int]:
-    """1-based end positions of every window the seed matches, in increasing order."""
-    mask = seed.required_mask
-    bits = alignment.bits
-    span = seed.span
-    return [i + span for i in range(alignment.length - span + 1) if (bits >> i) & mask == mask]
-
-
 def _bits_detected(bits: int, length: int, mask: int, span: int, needed: int, min_gap: int) -> bool:
     # greedy earliest-admissible-end selection, optimal for a minimum-gap constraint
     picked = 0

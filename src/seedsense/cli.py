@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -58,11 +57,14 @@ def _scheme_options(f):
 def _output_options(f):
     f = click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
                      default="text", show_default=True, help="Output rendering.")(f)
-    f = click.option("--precision", type=click.IntRange(min=1), default=6, show_default=True,
-                     help="Digits in decimal probability renderings.")(f)
     f = click.option("--output", "output_path", type=click.Path(dir_okay=False, writable=True),
                      default=None, help="Write to this file instead of standard output.")(f)
     return f
+
+
+def _precision_option(f):
+    return click.option("--precision", type=click.IntRange(min=1), default=6, show_default=True,
+                        help="Digits in decimal probability renderings.")(f)
 
 
 def _strategy_options(f):
@@ -129,7 +131,7 @@ def cli() -> None:
 @_scheme_options
 @_output_options
 def count(length: int, score: int | None, model: str, match: int, mismatch: int,
-          fmt: str, precision: int, output_path: str | None) -> None:
+          fmt: str, output_path: str | None) -> None:
     """Count alignments of a given length (and score)."""
     scheme = ScoringScheme(match, mismatch)
     if model == UNIFORM:
@@ -158,14 +160,14 @@ def count(length: int, score: int | None, model: str, match: int, mismatch: int,
 @_scheme_options
 @_output_options
 def generate(length: int, score: int | None, samples: int, rng_seed: int, threads: int | None,
-             match: int, mismatch: int, fmt: str, precision: int,
-             output_path: str | None) -> None:
+             match: int, mismatch: int, fmt: str, output_path: str | None) -> None:
     """Generate uniform random homogeneous alignments, one per line."""
     scheme = ScoringScheme(match, mismatch)
     stream = RandomStream(rng_seed)
     if threads is None:
-        # worker processes only pay off for big batches; output never changes
-        threads = (os.cpu_count() or 1) if samples >= 50_000 else 1
+        # worker processes only pay off for big batches; output never changes,
+        # and the pool starts at most one worker per CPU
+        threads = samples if samples >= 50_000 else 1
     workers = threads
     if score is None:
         drawn = sample_free(scheme, length, samples, stream, workers=workers)
@@ -217,6 +219,7 @@ def _sensitivity_rows(reports, precision: int) -> list[dict]:
               show_default=True, help="Alignment population.")
 @_scheme_options
 @_output_options
+@_precision_option
 def sensitivity(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score: int,
                 model: str, match: int, mismatch: int, fmt: str, precision: int,
                 output_path: str | None) -> None:
@@ -241,6 +244,7 @@ def sensitivity(seed_pattern: str, occurrences: int, max_overlap: int, length: i
               show_default=True)
 @_scheme_options
 @_output_options
+@_precision_option
 def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score: int,
        model: str, samples: int, rng_seed: int, match: int, mismatch: int,
        fmt: str, precision: int, output_path: str | None) -> None:
@@ -277,6 +281,7 @@ def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score
               help="Worker processes, at most one per CPU (default: available cores).")
 @_scheme_options
 @_output_options
+@_precision_option
 def optimize(weight: int, max_span: int, length: int, score: int, model: str, top: int,
              threads: int | None, match: int, mismatch: int, fmt: str, precision: int,
              output_path: str | None) -> None:
@@ -310,6 +315,7 @@ def optimize(weight: int, max_span: int, length: int, score: int, model: str, to
               show_default=True, help="Population(s) to evaluate.")
 @_scheme_options
 @_output_options
+@_precision_option
 def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, length_range: str,
           model: str, match: int, mismatch: int, fmt: str, precision: int,
           output_path: str | None) -> None:
@@ -356,7 +362,7 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
 @click.option("--max-length", type=click.IntRange(min=1, max=20), default=14, show_default=True,
               help="Exhaustive-enumeration bound for the oracle suites.")
 @_output_options
-def selfcheck(max_length: int, fmt: str, precision: int, output_path: str | None) -> None:
+def selfcheck(max_length: int, fmt: str, output_path: str | None) -> None:
     """Run the brute-force oracle suites and report pass/fail per property."""
     results = run_selfcheck(max_length)
     rows = [{"property": r.name, "status": "pass" if r.passed else "FAIL", "detail": r.detail}

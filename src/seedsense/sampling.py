@@ -17,30 +17,23 @@ mismatch positions the same way, over Pascal's triangle.
 The rank of sample i is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3"): its 64-bit words are the SplitMix64 sequence
 started at the child seed ``stream.spawn(i).seed``, and a try that is not
-below the bound is rejected. Output therefore depends only on (seed, sample
-index) and is identical no matter how samples are split across workers.
+below the bound is rejected. A ``RandomStream`` is only that validated seed;
+nothing draws from it directly. Output therefore depends only on (seed,
+sample index) and is identical no matter how samples are split across
+workers.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Iterator
 
-from .alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
+from ._pool import map_strided
+from .alignments import Alignment, ScoringScheme
 from .counting import CountTableD, InfeasibleScore, feasible_composition, positive_scores
-
-DEFAULT_REJECTION_LIMIT = 20
-DEFAULT_ATTEMPT_BUDGET = 1_000_000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-class GenerationBudgetExceeded(RuntimeError):
-    """Rejection sampling exhausted its attempt budget without enough accepts."""
 
 
 def _splitmix64(x: int) -> int:
@@ -56,23 +49,17 @@ def _child_seed(seed: int, index: int) -> int:
 
 
 class RandomStream:
-    """Deterministic 64-bit-seeded randomness source.
+    """A validated 64-bit seed for the samplers.
 
-    Wraps the Mersenne Twister (random.Random) and draws only via
-    getrandbits, whose output is stable across platforms and Python
-    releases. Child stream i is seeded with the (i+1)-th output of the
-    SplitMix64 sequence started at this stream's seed. The samplers read
-    only the seed: they derive each sample's rank with ``_rank``.
+    Sample i draws its rank from the SplitMix64 sequence started at the
+    child seed ``spawn(i).seed``, the (i+1)-th output of the SplitMix64
+    sequence started at this stream's seed (see ``_rank``).
     """
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self._rng = random.Random(seed)
-
-    def getrandbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
 
     def spawn(self, index: int) -> RandomStream:
         if index < 0:
@@ -106,8 +93,8 @@ def _rank(seed: int, index: int, bound: int) -> int:
             return r
 
 
-def _ranks(seed: int, bound: int, count: int, start: int = 0) -> Iterator[int]:
-    return (_rank(seed, i, bound) for i in range(start, start + count))
+def _ranks(seed: int, bound: int, indices: Iterable[int]) -> Iterator[int]:
+    return (_rank(seed, i, bound) for i in indices)
 
 
 def _fixed_table(scheme: ScoringScheme, n: int, score: int) -> CountTableD:
@@ -192,10 +179,10 @@ def _iter_uniform_bits(n: int, mismatches: int, ranks: Iterable[int]) -> Iterato
     return _unrank([(math.comb(n, mismatches), steps)], 0, 1, ranks)
 
 
-def _sample_range(match: int, mismatch: int, n: int, score: int | None,
-                  seed: int, start: int, count: int) -> list[int]:
+def _sample_range(indices: range, match: int, mismatch: int, n: int, score: int | None,
+                  seed: int) -> list[int]:
     tables = _tables(ScoringScheme(match, mismatch), n, score)
-    return list(_iter_bits(tables, n, _ranks(seed, _population(tables, n), count, start)))
+    return list(_iter_bits(tables, n, _ranks(seed, _population(tables, n), indices)))
 
 
 def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
@@ -204,39 +191,19 @@ def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
         raise ValueError("length must be >= 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    tables = _tables(scheme, n, score)
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and count > 1:
-        ranges = _index_ranges(count, workers)
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = pool.map(
-                _sample_range,
-                *zip(*[(scheme.match_score, scheme.mismatch_penalty, n, score,
-                        stream.seed, lo, hi - lo) for lo, hi in ranges]),
-            )
-        return [Alignment(n, bits) for part in parts for bits in part]
-    ranks = _ranks(stream.seed, _population(tables, n), count)
-    return [Alignment(n, bits) for bits in _iter_bits(tables, n, ranks)]
-
-
-def _index_ranges(count: int, workers: int) -> list[tuple[int, int]]:
-    span, extra = divmod(count, workers)
-    ranges = []
-    lo = 0
-    for w in range(workers):
-        hi = lo + span + (1 if w < extra else 0)
-        if hi > lo:
-            ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    if score is not None:
+        _fixed_table(scheme, n, score)  # reject an infeasible score before any worker starts
+    bits = map_strided(_sample_range, range(count), workers, scheme.match_score,
+                       scheme.mismatch_penalty, n, score, stream.seed)
+    return [Alignment(n, b) for b in bits]
 
 
 def sample_fixed(scheme: ScoringScheme, n: int, score: int, count: int,
                  stream: RandomStream, workers: int = 1) -> list[Alignment]:
     """Uniform samples over homogeneous alignments of length n and exact score.
 
-    Output is identical for any worker count; workers only split the sample
-    index range, and at most one worker per CPU is started.
+    Output is identical for any worker count; worker w of W draws every W-th
+    sample from index w, and at most one worker per CPU is started.
     """
     return _sample(scheme, n, score, count, stream, workers)
 
@@ -245,34 +212,3 @@ def sample_free(scheme: ScoringScheme, n: int, count: int,
                 stream: RandomStream, workers: int = 1) -> list[Alignment]:
     """Uniform samples over all homogeneous alignments of length n, any score."""
     return _sample(scheme, n, None, count, stream, workers)
-
-
-def sample_rejection(scheme: ScoringScheme, n: int, score: int | None, count: int,
-                     stream: RandomStream, limit: int = DEFAULT_REJECTION_LIMIT,
-                     max_attempts: int = DEFAULT_ATTEMPT_BUDGET) -> list[Alignment]:
-    """Uniform sampling by accept-reject; a test oracle only.
-
-    Draws length-n bit strings from the stream and keeps the homogeneous ones
-    (with the requested score, when fixed). The acceptance rate decays
-    exponentially with n, hence the hard length limit and attempt budget.
-    """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if n > limit:
-        raise ValueError(f"length {n} exceeds the rejection-sampling limit {limit}")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    out: list[Alignment] = []
-    attempts = 0
-    while len(out) < count:
-        if attempts >= max_attempts:
-            raise GenerationBudgetExceeded(
-                f"{len(out)}/{count} accepted after {attempts} attempts"
-            )
-        attempts += 1
-        candidate = Alignment(n, stream.getrandbits(n))
-        if score is not None and alignment_score(candidate, scheme) != score:
-            continue
-        if is_homogeneous(candidate, scheme):
-            out.append(candidate)
-    return out

@@ -11,14 +11,13 @@ pair is evaluated.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
+from ._pool import map_strided
 from .alignments import DetectionStrategy, ScoringScheme, Seed
 from .sensitivity import HOMOGENEOUS, MODELS, hit_probability_profile
 
@@ -88,13 +87,13 @@ def seed_count(weight: int, max_span: int) -> int:
 
 
 def _evaluate_patterns(patterns: list[str], match: int, mismatch: int, length: int,
-                       score: int, model: str) -> list[tuple[str, int, int]]:
+                       score: int, model: str) -> list[tuple[int, int]]:
     scheme = ScoringScheme(match, mismatch)
     out = []
     for pattern in patterns:
         strategy = DetectionStrategy(Seed(pattern))
         report = hit_probability_profile(strategy, scheme, score, [length], model)[0]
-        out.append((pattern, report.numerator, report.denominator))
+        out.append((report.numerator, report.denominator))
     return out
 
 
@@ -107,21 +106,12 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     started = time.perf_counter()
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
-    cores = os.cpu_count() or 1
-    threads = cores if threads is None else min(threads, cores)
-    args = (spec.scheme.match_score, spec.scheme.mismatch_penalty,
-            spec.length, spec.score, spec.model)
-    if threads > 1 and len(representatives) > 1:
-        chunks = [representatives[w::threads] for w in range(threads)]
-        chunks = [chunk for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_evaluate_patterns, chunk, *args) for chunk in chunks]
-            evaluated = {pattern: (num, den)
-                         for future in futures
-                         for pattern, num, den in future.result()}
-    else:
-        evaluated = {pattern: (num, den)
-                     for pattern, num, den in _evaluate_patterns(representatives, *args)}
+    # no thread count: as many workers as there are candidates, capped at the CPU count
+    workers = len(representatives) if threads is None else threads
+    results = map_strided(_evaluate_patterns, representatives, workers,
+                          spec.scheme.match_score, spec.scheme.mismatch_penalty,
+                          spec.length, spec.score, spec.model)
+    evaluated = dict(zip(representatives, results))
     ranked = []
     for pattern in patterns:
         num, den = evaluated[min(pattern, pattern[::-1])]

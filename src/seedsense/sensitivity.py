@@ -250,7 +250,7 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     n = query.length
     if query.model == HOMOGENEOUS:
         table = _fixed_table(query.scheme, n, query.score)
-        ranks = _ranks(stream.seed, table.count(0, n), samples)
+        ranks = _ranks(stream.seed, table.count(0, n), range(samples))
         bit_stream = _iter_bits([table], n, ranks)
     else:
         comp = feasible_composition(query.scheme, n, query.score)
@@ -258,7 +258,7 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
             raise InfeasibleScore(
                 f"no alignments of length {n} and score {query.score} under {query.scheme}"
             )
-        ranks = _ranks(stream.seed, math.comb(n, comp.mismatches), samples)
+        ranks = _ranks(stream.seed, math.comb(n, comp.mismatches), range(samples))
         bit_stream = _iter_uniform_bits(n, comp.mismatches, ranks)
     hits = 0
     for bits in bit_stream:

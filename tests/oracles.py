@@ -7,7 +7,13 @@ these. Bit order matches Alignment: bit i-1 of an int holds letter b_i.
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
+
+from seedsense.alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
+
+DEFAULT_REJECTION_LIMIT = 20
+DEFAULT_ATTEMPT_BUDGET = 1_000_000
 
 
 def walk_homogeneous(bits: int, n: int, s: int, p: int, total: int) -> bool:
@@ -89,3 +95,40 @@ def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:
         elif 0 < nxt < target:
             total += suffix_walk_count(s, p, target, nxt, k - 1)
     return total
+
+
+class GenerationBudgetExceeded(RuntimeError):
+    """Rejection sampling exhausted its attempt budget without enough accepts."""
+
+
+def sample_rejection(scheme: ScoringScheme, n: int, score: int | None, count: int,
+                     rng_seed: int, limit: int = DEFAULT_REJECTION_LIMIT,
+                     max_attempts: int = DEFAULT_ATTEMPT_BUDGET) -> list[Alignment]:
+    """Uniform sampling by accept-reject.
+
+    Draws length-n bit strings from ``random.Random(rng_seed).getrandbits``
+    and keeps the homogeneous ones (with the requested score, when fixed).
+    The acceptance rate decays exponentially with n, hence the hard length
+    limit and attempt budget.
+    """
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    if n > limit:
+        raise ValueError(f"length {n} exceeds the rejection-sampling limit {limit}")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    rng = random.Random(rng_seed)
+    out: list[Alignment] = []
+    attempts = 0
+    while len(out) < count:
+        if attempts >= max_attempts:
+            raise GenerationBudgetExceeded(
+                f"{len(out)}/{count} accepted after {attempts} attempts"
+            )
+        attempts += 1
+        candidate = Alignment(n, rng.getrandbits(n))
+        if score is not None and alignment_score(candidate, scheme) != score:
+            continue
+        if is_homogeneous(candidate, scheme):
+            out.append(candidate)
+    return out

@@ -12,7 +12,6 @@ from seedsense.alignments import (
     from_walk,
     is_homogeneous,
     is_homogeneous_segments,
-    occurrence_ends,
     score,
     seed_detects,
     strategy_detects,
@@ -171,20 +170,10 @@ class TestSeedDetects:
                 assert seed_detects(Seed("1"), a)
 
     def test_occurrence_ends(self):
-        assert occurrence_ends(Seed("11"), A("11011")) == [2, 5]
-        assert occurrence_ends(Seed("111"), A("1110111")) == [3, 7]
-        assert occurrence_ends(Seed("11"), A("10101")) == []
-
-    def test_occurrence_ends_random_against_oracle(self):
-        rng = random.Random(14)
-        for _ in range(100):
-            span = rng.randint(1, 5)
-            pattern = "1" + "".join(rng.choice("01") for _ in range(span - 2)) + "1" \
-                if span > 1 else "1"
-            n = rng.randint(1, 14)
-            bits = rng.getrandbits(n)
-            assert occurrence_ends(Seed(pattern), Alignment(n, bits)) == \
-                match_ends(bits, n, pattern)
+        # the reference that subset_detects builds on
+        assert match_ends(A("11011").bits, 5, "11") == [2, 5]
+        assert match_ends(A("1110111").bits, 7, "111") == [3, 7]
+        assert match_ends(A("10101").bits, 5, "11") == []
 
 
 class TestStrategyDetects:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import seedsense.cli as cli_mod
 from seedsense.cli import run
@@ -128,6 +129,30 @@ class TestGenerate:
 
     def test_infeasible(self, capsys):
         assert invoke(capsys, "generate", "--length", "5", "--score", "2")[0] == 3
+
+    def test_infeasible_with_workers_rejected_before_the_pool(self, capsys, serial_pool):
+        code, out, err = invoke(capsys, "generate", "--length", "5", "--score", "2",
+                                "--samples", "2", "--threads", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert serial_pool == []
+
+    def test_default_threads_one_per_cpu_for_large_batches(self, capsys, serial_pool,
+                                                            monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        args = ("generate", "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1")
+        assert invoke(capsys, *args, "--samples", "49999")[0] == 0
+        assert serial_pool == []
+        assert invoke(capsys, *args, "--samples", "50000")[0] == 0
+        assert serial_pool == [3]
+
+    def test_precision_rejected(self, capsys):
+        # only the commands that print probabilities take --precision
+        assert invoke(capsys, "generate", "--length", "5", "--score", "3",
+                      "--precision", "3")[0] == 2
+        assert invoke(capsys, "count", "--length", "5", "--precision", "3")[0] == 2
+        assert invoke(capsys, "selfcheck", "--max-length", "1", "--precision", "3")[0] == 2
 
     def test_free_score_beyond_old_length_cap(self, capsys):
         code, out, _ = invoke(capsys, "generate", "--length", "513", "--match", "1",

@@ -5,11 +5,9 @@ from collections import Counter
 import pytest
 import scipy.stats
 
-import seedsense.sampling as sampling_mod
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous, is_homogeneous, score
 from seedsense.counting import InfeasibleScore
 from seedsense.sampling import (
-    GenerationBudgetExceeded,
     RandomStream,
     _GOLDEN,
     _fixed_table,
@@ -21,8 +19,9 @@ from seedsense.sampling import (
     _tables,
     sample_fixed,
     sample_free,
-    sample_rejection,
 )
+
+from oracles import GenerationBudgetExceeded, sample_rejection
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -38,7 +37,9 @@ class TestRandomStream:
     def test_same_seed_same_draws(self):
         a = RandomStream(123)
         b = RandomStream(123)
-        assert [a.getrandbits(32) for _ in range(20)] == [b.getrandbits(32) for _ in range(20)]
+        assert [a.spawn(i).seed for i in range(20)] == [b.spawn(i).seed for i in range(20)]
+        assert [_rank(a.seed, i, 1 << 32) for i in range(20)] == \
+            [_rank(b.seed, i, 1 << 32) for i in range(20)]
 
     def test_splitmix_reference_vector(self):
         # first output of the published SplitMix64 sequence seeded with 0
@@ -170,67 +171,57 @@ class TestSampleFree:
         assert scipy.stats.chi2.sf(stat, len(members) - 1) > 0.001
 
 
+def _fixed(samples, workers):
+    return sample_fixed(S11, 11, 5, samples, RandomStream(4), workers=workers)
+
+
+def _free(samples, workers):
+    return sample_free(S11, 10, samples, RandomStream(4), workers=workers)
+
+
 class TestWorkerCap:
-    @pytest.fixture
-    def opened(self, monkeypatch):
-        """Replace the process pool with a serial stand-in that records its size."""
-        sizes = []
+    @pytest.mark.parametrize("draw, samples, cpus, opened", [
+        pytest.param(_fixed, 30, 2, 2, id="fixed"),
+        pytest.param(_free, 30, 2, 2, id="free"),
+        pytest.param(_fixed, 31, 3, 3, id="fixed-uneven"),
+        pytest.param(_free, 31, 3, 3, id="free-uneven"),
+        pytest.param(_fixed, 2, 3, 2, id="fewer-samples-than-cpus"),
+    ])
+    def test_capped_at_cpu_count(self, draw, samples, cpus, opened, serial_pool, monkeypatch):
+        serial = draw(samples, 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert draw(samples, 10_000) == serial
+        assert serial_pool == [opened]
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(sampling_mod, "ProcessPoolExecutor", SerialPool)
-        return sizes
-
-    @pytest.mark.parametrize("draw", [
-        lambda workers: sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=workers),
-        lambda workers: sample_free(S11, 10, 30, RandomStream(4), workers=workers),
-    ], ids=["fixed", "free"])
-    def test_capped_at_cpu_count(self, draw, opened, monkeypatch):
-        serial = draw(1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert draw(10_000) == serial
-        assert opened == [2]
-
-    def test_unknown_cpu_count_means_serial(self, opened, monkeypatch):
+    def test_unknown_cpu_count_means_serial(self, serial_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         serial = sample_fixed(S11, 11, 5, 30, RandomStream(4))
         assert sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=8) == serial
-        assert opened == []
+        assert serial_pool == []
 
 
 class TestSampleRejection:
     def test_unique_member(self):
-        out = sample_rejection(S11, 5, 3, 20, RandomStream(1))
+        out = sample_rejection(S11, 5, 3, 20, 1)
         assert {str(a) for a in out} == {"11011"}
 
     def test_free_score_validity(self):
-        for a in sample_rejection(S13, 8, None, 50, RandomStream(2)):
+        for a in sample_rejection(S13, 8, None, 50, 2):
             assert is_homogeneous(a, S13)
 
     def test_rejects_beyond_limit(self):
         with pytest.raises(ValueError):
-            sample_rejection(S11, 21, None, 1, RandomStream(0))
+            sample_rejection(S11, 21, None, 1, 0)
 
     def test_budget_exhaustion(self):
         with pytest.raises(GenerationBudgetExceeded):
-            sample_rejection(S13, 5, 2, 1, RandomStream(0), max_attempts=500)
+            sample_rejection(S13, 5, 2, 1, 0, max_attempts=500)
 
     def test_agrees_with_exact_sampler(self):
         # both samplers target the same uniform distribution over 21 members
         members = [str(a) for a in enumerate_homogeneous(S11, 11, 5)]
         fixed = Counter(str(a) for a in sample_fixed(S11, 11, 5, 2000, RandomStream(5)))
-        rejected = Counter(str(a) for a in sample_rejection(S11, 11, 5, 2000, RandomStream(6)))
+        rejected = Counter(str(a) for a in sample_rejection(S11, 11, 5, 2000, 6))
         assert set(fixed) <= set(members)
         assert set(rejected) <= set(members)
         tv = 0.5 * sum(abs(fixed[m] - rejected[m]) / 2000 for m in members)

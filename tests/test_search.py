@@ -1,11 +1,9 @@
 import os
 import random
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
-import seedsense.search as search_mod
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous, seed_detects
 from seedsense.counting import InfeasibleScore
 from seedsense.alignments import DetectionStrategy
@@ -87,33 +85,13 @@ class TestFindOptimal:
         assert serial.entries == parallel.entries
         assert serial.candidate_count == parallel.candidate_count
 
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            """Stands in for the process pool: records its size, runs calls in-process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
+    def test_threads_capped_at_cpu_count(self, serial_pool, monkeypatch):
         spec = SearchSpec(3, 7, S13, 12, 8, HOMOGENEOUS, top_k=10)
         serial = find_optimal(spec, threads=1)
-        monkeypatch.setattr(search_mod, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert find_optimal(spec, threads=10_000).entries == serial.entries
         assert find_optimal(spec).entries == serial.entries
-        assert sizes == [3, 3]
+        assert serial_pool == [3, 3]
 
     def test_uniform_model(self):
         spec = SearchSpec(2, 4, S13, 10, 6, UNIFORM, top_k=3)

@@ -17,3 +17,10 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_one_process_pool():
+    # every parallel loop goes through one helper, which alone opens a pool
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if "ProcessPoolExecutor" in path.read_text())
+    assert users == ["_pool.py"], f"modules that open a process pool: {users}"
