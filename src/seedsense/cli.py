@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -54,11 +55,19 @@ def _scheme_options(f):
     return f
 
 
+def _output_directory_exists(ctx, param, path: str | None) -> str | None:
+    # checked while parsing, so a request that could not be written does no work
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise click.BadParameter(f"directory of {path!r} does not exist")
+    return path
+
+
 def _output_options(f):
     f = click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
                      default="text", show_default=True, help="Output rendering.")(f)
     f = click.option("--output", "output_path", type=click.Path(dir_okay=False, writable=True),
-                     default=None, help="Write to this file instead of standard output.")(f)
+                     default=None, callback=_output_directory_exists,
+                     help="Write to this file instead of standard output.")(f)
     return f
 
 

@@ -1,18 +1,17 @@
 """Uniform random generation of homogeneous alignments.
 
-One sampler serves both fixed and free scores, by unranking (the recursive
-method of Flajolet, Zimmermann & Van Cutsem). A sample draws one uniform rank
-below the population size and walks a ``CountTableD`` left to right: it takes
-the match step when the rank is below the number of completions after a
-match, and otherwise subtracts that number and takes the mismatch step. Each
-member of the population has exactly one rank, so a uniform rank gives an
-exactly uniform alignment, with integer arithmetic only.
-
-A free score is the disjoint union of its fixed-score classes. Their rank
-ranges are concatenated in ascending score order: the rank first picks a
-class by subtracting class sizes, and the remainder is unranked in that
-class's table. The uniform model of ``mc`` unranks a fixed-size subset of
-mismatch positions the same way, over Pascal's triangle.
+Every sample, whether ``generate`` or ``mc`` asks for it, is drawn by
+``_draw`` from a population built by ``_population``: a fixed-score or
+free-score set of homogeneous alignments, or every sequence of one score
+(the uniform model of ``mc``). A population is a list of disjoint classes
+whose rank ranges are concatenated in order, one per score for a free score.
+``_unrank`` maps a rank below the population size to its member by the
+recursive method of Flajolet, Zimmermann & Van Cutsem: the rank first picks
+a class by subtracting class sizes, then walks left to right, taking the
+match step when the rank is below the number of members that match there,
+and otherwise subtracting that number and taking the mismatch step. Each
+member has exactly one rank, so a uniform rank gives an exactly uniform
+sample, with integer arithmetic only.
 
 The rank of sample i is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3"): its 64-bit words are the SplitMix64 sequence
@@ -20,7 +19,7 @@ started at the child seed ``stream.spawn(i).seed``, and a try that is not
 below the bound is rejected. A ``RandomStream`` is only that validated seed;
 nothing draws from it directly. Output therefore depends only on (seed,
 sample index) and is identical no matter how samples are split across
-workers.
+workers, each of which builds its own population.
 """
 
 from __future__ import annotations
@@ -93,43 +92,61 @@ def _rank(seed: int, index: int, bound: int) -> int:
             return r
 
 
-def _ranks(seed: int, bound: int, indices: Iterable[int]) -> Iterator[int]:
-    return (_rank(seed, i, bound) for i in indices)
+def _match_counts(table: CountTableD, n: int) -> list[list[int]]:
+    # completions of a length-n walk after a match at each step, by ordinate:
+    # the table row of the steps left, shifted down by the match score
+    s = table.scheme.match_score
+    rows = table._rows
+    last = [0] * table.score
+    last[table.score - s] = 1
+    return [rows[k][s:] + [0] * s for k in range(n - 1, 0, -1)] + [last]
 
 
-def _fixed_table(scheme: ScoringScheme, n: int, score: int) -> CountTableD:
+_Population = tuple[list[tuple[int, list[list[int]]]], int, int]
+
+
+def _population(scheme: ScoringScheme, n: int, score: int | None,
+                uniform: bool = False) -> _Population:
+    """The population a sample is drawn from, as ``(classes, on_match, on_mismatch)``.
+
+    Each class is (size, steps): ``steps[j][y]`` is the number of the class's
+    members that take a match at step j from ordinate y, and a walk moves its
+    ordinate by `on_match` or `on_mismatch`. A homogeneous population has one
+    class per score (each positive score, ascending, when `score` is None),
+    walked on the ordinates of that score's ``CountTableD``. The uniform
+    population, every sequence of the score, is one class whose ordinate
+    counts the mismatches placed: with u placed before step j,
+    comb(n - j - 1, q - u) of the sequences with q mismatches take a match.
+    """
     if n < 1:
         raise ValueError("length must be >= 1")
-    if score < 1 or feasible_composition(scheme, n, score) is None:
-        raise InfeasibleScore(f"no alignment of length {n} has score {score} under {scheme}")
-    table = CountTableD(scheme, score, n)
-    if table.count(0, n) == 0:
-        raise InfeasibleScore(f"no homogeneous alignment of length {n} has score {score}")
-    return table
+    if uniform:
+        comp = feasible_composition(scheme, n, score)
+        if comp is None:
+            raise InfeasibleScore(f"no alignments of length {n} and score {score} under {scheme}")
+        q = comp.mismatches
+        steps = [[math.comb(n - j - 1, q - u) for u in range(q + 1)] for j in range(n)]
+        return [(math.comb(n, q), steps)], 0, 1
+    scores = positive_scores(scheme, n) if score is None else [score]
+    tables = (CountTableD(scheme, t, n) for t in scores
+              if t >= 1 and feasible_composition(scheme, n, t) is not None)
+    classes = [(table.count(0, n), _match_counts(table, n)) for table in tables
+               if table.count(0, n)]
+    if not classes:
+        raise InfeasibleScore(
+            f"no homogeneous alignment of length {n} has score {score} under {scheme}")
+    return classes, scheme.match_score, -scheme.mismatch_penalty
 
 
-def _tables(scheme: ScoringScheme, n: int, score: int | None) -> list[CountTableD]:
-    """The table of a fixed score, or one table per nonempty score class when free."""
-    if score is not None:
-        return [_fixed_table(scheme, n, score)]
-    tables = (CountTableD(scheme, t, n) for t in positive_scores(scheme, n))
-    return [table for table in tables if table.count(0, n)]
+def _unrank(population: _Population, ranks: Iterable[int]) -> Iterator[int]:
+    """The bit string of each rank below the population's size.
 
-
-def _population(tables: list[CountTableD], n: int) -> int:
-    return sum(table.count(0, n) for table in tables)
-
-
-def _unrank(classes: list[tuple[int, list[list[int]]]], on_match: int, on_mismatch: int,
-            ranks: Iterable[int]) -> Iterator[int]:
-    """The bit string of each rank below the classes' total size.
-
-    Each class is (size, steps); the classes' rank ranges are concatenated in
-    list order, and a rank's class is picked by subtracting sizes. In a
-    class, ``steps[j][y]`` is the number of completions that take a match at
-    step j from ordinate y. The walk starts at ordinate 0 and moves it by
-    `on_match` or `on_mismatch`.
+    The classes' rank ranges are concatenated in list order, and a rank's
+    class is picked by subtracting sizes. The walk starts at ordinate 0; at
+    step j it takes the match when the rank is below ``steps[j][y]``, and
+    otherwise subtracts that count and takes the mismatch.
     """
+    classes, on_match, on_mismatch = population
     for r in ranks:
         for size, steps in classes:
             if r < size:
@@ -150,39 +167,16 @@ def _unrank(classes: list[tuple[int, list[list[int]]]], on_match: int, on_mismat
         yield bits
 
 
-def _match_counts(table: CountTableD, n: int) -> list[list[int]]:
-    # completions of a length-n walk after a match at each step, by ordinate:
-    # the table row of the steps left, shifted down by the match score
-    s = table.scheme.match_score
-    rows = table._rows
-    last = [0] * table.score
-    last[table.score - s] = 1
-    return [rows[k][s:] + [0] * s for k in range(n - 1, 0, -1)] + [last]
+def _draw(indices: Iterable[int], scheme: ScoringScheme, n: int, score: int | None, seed: int,
+          uniform: bool = False) -> list[int]:
+    """The bit strings of samples `indices` of the stream seeded `seed`.
 
-
-def _iter_bits(tables: list[CountTableD], n: int, ranks: Iterable[int]) -> Iterator[int]:
-    """The homogeneous alignment of each rank below the tables' total population."""
-    classes = [(table.count(0, n), _match_counts(table, n)) for table in tables]
-    scheme = tables[0].scheme
-    return _unrank(classes, scheme.match_score, -scheme.mismatch_penalty, ranks)
-
-
-def _iter_uniform_bits(n: int, mismatches: int, ranks: Iterable[int]) -> Iterator[int]:
-    """For each rank below comb(n, mismatches), the length-n bit string with
-    that many zeros (the uniform model).
-
-    The ordinate counts the mismatches placed so far; with u placed before
-    step j, comb(n - j - 1, mismatches - u) completions take a match there.
+    Every sampler draws through here: a worker builds its own population and
+    unranks one ``_rank`` per index.
     """
-    steps = [[math.comb(n - j - 1, mismatches - u) for u in range(mismatches + 1)]
-             for j in range(n)]
-    return _unrank([(math.comb(n, mismatches), steps)], 0, 1, ranks)
-
-
-def _sample_range(indices: range, match: int, mismatch: int, n: int, score: int | None,
-                  seed: int) -> list[int]:
-    tables = _tables(ScoringScheme(match, mismatch), n, score)
-    return list(_iter_bits(tables, n, _ranks(seed, _population(tables, n), indices)))
+    population = _population(scheme, n, score, uniform)
+    bound = sum(size for size, _ in population[0])
+    return list(_unrank(population, (_rank(seed, i, bound) for i in indices)))
 
 
 def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
@@ -192,9 +186,8 @@ def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
     if count < 0:
         raise ValueError("count must be nonnegative")
     if score is not None:
-        _fixed_table(scheme, n, score)  # reject an infeasible score before any worker starts
-    bits = map_strided(_sample_range, range(count), workers, scheme.match_score,
-                       scheme.mismatch_penalty, n, score, stream.seed)
+        _population(scheme, n, score)  # reject an infeasible score before any worker starts
+    bits = map_strided(_draw, range(count), workers, scheme, n, score, stream.seed)
     return [Alignment(n, b) for b in bits]
 
 

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
-from .counting import InfeasibleScore, feasible_composition
-from .sampling import RandomStream, _fixed_table, _iter_bits, _iter_uniform_bits, _ranks
+from .counting import InfeasibleScore
+from .sampling import RandomStream, _draw
 
 HOMOGENEOUS = "homogeneous"
 UNIFORM = "all"
 MODELS = (HOMOGENEOUS, UNIFORM)
+_MC_CHUNK = 1 << 16  # samples drawn per call of the sampler in mc_estimate
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,23 @@ class _HitAutomaton:
     def __init__(self, strategy: DetectionStrategy):
         seed = strategy.seed
         span = seed.span
-        required = [i for i, ch in enumerate(seed.pattern) if ch == "1"]
+        mask = seed.required_mask
         keep = strategy.max_overlap
+        # a suffix of L letters is an int whose bit i holds its letter i; pre[L]
+        # is the seed's required positions among the first L
+        pre = [mask & ((1 << length) - 1) for length in range(span + 1)]
 
-        def matches(window: str) -> bool:
-            return all(window[i] == "1" for i in required)
-
-        def canonical(v: str) -> str:
+        def canonical(v: int, length: int, remaining: int) -> tuple[int, int, int]:
             # drop front letters whose match window is already impossible
-            while v and not all(v[i] == "1" for i in required if i < len(v)):
-                v = v[1:]
-            return v
+            while v & pre[length] != pre[length]:
+                v >>= 1
+                length -= 1
+            return v, length, remaining
 
-        index: dict[tuple[str, int] | None, int] = {}
-        states: list[tuple[str, int] | None] = []
+        index: dict[tuple[int, int, int] | None, int] = {}
+        states: list[tuple[int, int, int] | None] = []
 
-        def intern(state: tuple[str, int] | None) -> int:
+        def intern(state: tuple[int, int, int] | None) -> int:
             sid = index.get(state)
             if sid is None:
                 sid = index[state] = len(states)
@@ -127,25 +129,22 @@ class _HitAutomaton:
             return sid
 
         accept = intern(None)
-        start = intern(("", strategy.required_occurrences))
+        start = intern((0, 0, strategy.required_occurrences))
         step0: list[int] = [accept]
         step1: list[int] = [accept]
         pos = 1
         while pos < len(states):
-            suffix, remaining = states[pos]  # type: ignore[misc]
-            for table, letter in ((step0, "0"), (step1, "1")):
-                grown = suffix + letter
-                if len(grown) == span:
-                    if matches(grown):
-                        if remaining == 1:
-                            target = accept
-                        else:
-                            trimmed = grown[span - keep:] if keep else ""
-                            target = intern((canonical(trimmed), remaining - 1))
-                    else:
-                        target = intern((canonical(grown[1:]), remaining))
+            suffix, length, remaining = states[pos]  # type: ignore[misc]
+            for table, letter in ((step0, 0), (step1, 1)):
+                grown = suffix | letter << length
+                if length + 1 < span:
+                    target = intern(canonical(grown, length + 1, remaining))
+                elif grown & mask != mask:
+                    target = intern(canonical(grown >> 1, span - 1, remaining))
+                elif remaining == 1:
+                    target = accept
                 else:
-                    target = intern((canonical(grown), remaining))
+                    target = intern(canonical(grown >> (span - keep), keep, remaining - 1))
                 table.append(target)
             pos += 1
         self.step0 = step0
@@ -248,20 +247,10 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     needed = query.strategy.required_occurrences
     min_gap = span - query.strategy.max_overlap
     n = query.length
-    if query.model == HOMOGENEOUS:
-        table = _fixed_table(query.scheme, n, query.score)
-        ranks = _ranks(stream.seed, table.count(0, n), range(samples))
-        bit_stream = _iter_bits([table], n, ranks)
-    else:
-        comp = feasible_composition(query.scheme, n, query.score)
-        if comp is None:
-            raise InfeasibleScore(
-                f"no alignments of length {n} and score {query.score} under {query.scheme}"
-            )
-        ranks = _ranks(stream.seed, math.comb(n, comp.mismatches), range(samples))
-        bit_stream = _iter_uniform_bits(n, comp.mismatches, ranks)
     hits = 0
-    for bits in bit_stream:
-        if _bits_detected(bits, n, mask, span, needed, min_gap):
-            hits += 1
+    # in chunks, so memory does not grow with the sample count
+    for start in range(0, samples, _MC_CHUNK):
+        draws = _draw(range(start, min(start + _MC_CHUNK, samples)), query.scheme, n,
+                      query.score, stream.seed, query.model == UNIFORM)
+        hits += sum(_bits_detected(bits, n, mask, span, needed, min_gap) for bits in draws)
     return McEstimate(query, samples, hits)

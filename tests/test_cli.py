@@ -278,6 +278,19 @@ class TestOutputFile:
         rows = parse_csv(target.read_text())
         assert rows[0]["count"] == "1"
 
+    def test_missing_directory_rejected_before_work(self, capsys, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("counted before the output path was checked")
+
+        monkeypatch.setattr(cli_mod, "count_homogeneous", no_work)
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = invoke(capsys, "count", "--length", "5", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert "Error:" in err and "does not exist" in err
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
 
 class TestSelfcheckCommand:
     def test_small_run_passes(self, capsys):

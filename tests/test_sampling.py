@@ -10,13 +10,10 @@ from seedsense.counting import InfeasibleScore
 from seedsense.sampling import (
     RandomStream,
     _GOLDEN,
-    _fixed_table,
-    _iter_bits,
-    _iter_uniform_bits,
     _population,
     _rank,
     _splitmix64,
-    _tables,
+    _unrank,
     sample_fixed,
     sample_free,
 )
@@ -82,20 +79,24 @@ class TestUnranking:
     """Every rank below the population, walked directly, gives each member once."""
 
     def test_fixed_score_bijection(self):
-        table = _fixed_table(S13, 20, 8)
+        population = _population(S13, 20, 8)
         members = sorted(a.bits for a in enumerate_homogeneous(S13, 20, 8))
-        assert sorted(_iter_bits([table], 20, range(table.count(0, 20)))) == members
+        assert population[0][0][0] == len(members)
+        assert sorted(_unrank(population, range(len(members)))) == members
 
     def test_free_score_bijection(self):
-        tables = _tables(S11, 12, None)
+        population = _population(S11, 12, None)
         members = sorted(a.bits for a in enumerate_homogeneous(S11, 12))
         assert len(members) == 91
-        assert sorted(_iter_bits(tables, 12, range(_population(tables, 12)))) == members
+        assert sum(size for size, _ in population[0]) == 91
+        assert sorted(_unrank(population, range(91))) == members
 
     def test_uniform_model_bijection(self):
+        # scheme (1, 1), length 10, score 4: 7 matches and 3 mismatches
+        population = _population(S11, 10, 4, uniform=True)
         members = [bits for bits in range(1 << 10) if bits.bit_count() == 7]
-        assert len(members) == math.comb(10, 3)
-        assert sorted(_iter_uniform_bits(10, 3, range(len(members)))) == members
+        assert population[0][0][0] == len(members) == math.comb(10, 3)
+        assert sorted(_unrank(population, range(len(members)))) == members
 
 
 class TestSampleFixed:

@@ -3,21 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from seedsense.alignments import DetectionStrategy, ScoringScheme, Seed
+import seedsense.sensitivity as sensitivity_mod
+from seedsense.alignments import DetectionStrategy, ScoringScheme, Seed, strategy_detects
 from seedsense.counting import InfeasibleScore
-from seedsense.sampling import RandomStream
+from seedsense.sampling import RandomStream, sample_fixed
 from seedsense.sensitivity import (
     HOMOGENEOUS,
     UNIFORM,
     SensitivityQuery,
     SensitivityReport,
+    _HitAutomaton,
     decimal_ratio,
     hit_probability,
     hit_probability_profile,
     mc_estimate,
 )
 
-from oracles import hit_fractions
+from oracles import hit_fractions, subset_detects
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -292,7 +294,54 @@ class TestProfile:
             hit_probability_profile(strategy("1"), S11, 2, [4], "markov")
 
 
+class TestHitAutomaton:
+    @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
+        ("1110010110111", 1, 0, 87),
+        ("111001001010111", 1, 0, 311),
+        ("110100110010101111", 1, 0, 756),
+        ("110100110010101111", 2, 17, 1511),
+    ])
+    def test_state_counts(self, pattern, occurrences, overlap, size):
+        assert _HitAutomaton(strategy(pattern, occurrences, overlap)).size == size
+
+    def test_accepts_exactly_the_detected_prefixes(self):
+        rng = random.Random(77)
+        for _ in range(12):
+            pattern = random_seed_pattern(rng, 8)
+            occurrences = rng.randint(1, 3)
+            overlap = rng.randint(0, len(pattern) - 1)
+            auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+            # depth-first over every bit string of length <= 12, one letter at a time
+            stack = [(0, 0, auto.start)]
+            while stack:
+                bits, n, state = stack.pop()
+                expected = subset_detects(bits, n, pattern, occurrences, overlap)
+                assert (state == auto.accept) == expected, (pattern, occurrences, overlap,
+                                                            n, bits)
+                if n < 12:
+                    stack.append((bits, n + 1, auto.step0[state]))
+                    stack.append((bits | 1 << n, n + 1, auto.step1[state]))
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("chunk", [pytest.param(None, id="one-chunk"),
+                                       pytest.param(7, id="chunks-of-7")])
+    def test_shares_draws_with_generate(self, chunk, monkeypatch):
+        # mc and generate draw sample i of a stream from one population and rank,
+        # so every prefix of a generate run holds exactly the hits of mc
+        if chunk:
+            monkeypatch.setattr(sensitivity_mod, "_MC_CHUNK", chunk)
+        for pattern, occurrences, n, total, rng_seed in (("1111111", 1, 24, 8, 12),
+                                                         ("11111", 2, 24, 8, 3),
+                                                         ("1110010110111", 1, 40, 12, 5)):
+            q = query(pattern, S13, n, total, occurrences=occurrences)
+            drawn = sample_fixed(S13, n, total, 60, RandomStream(rng_seed))
+            detected = [strategy_detects(q.strategy, a) for a in drawn]
+            assert 0 < sum(detected) < len(detected)
+            for samples in range(1, len(drawn) + 1):
+                assert mc_estimate(q, samples, RandomStream(rng_seed)).hits == \
+                    sum(detected[:samples])
+
     def test_certain_seed(self):
         result = mc_estimate(query("1", S13, 9, 5), 500, RandomStream(0))
         assert result.estimate == 1.0
