@@ -39,6 +39,8 @@ class SearchSpec:
             raise ValueError("max_span must be >= weight")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}")
+        if self.model == HOMOGENEOUS and self.score < 1:
+            raise ValueError("homogeneous alignments require score >= 1")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
 

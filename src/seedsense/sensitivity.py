@@ -6,18 +6,24 @@ Two alignment models share one dynamic program:
   score S (walks confined to the open band (0, S) until the final step);
 * ``all``: uniform over every binary sequence of length n and score S.
 
-The program sweeps the prefixes left to right over integer counts: a layer
-maps (prefix score, scanner state) to the number of prefixes. After each
-step it keeps only the prefix scores that can still end on S by the longest
-requested length. That window is the only difference between the models:
-the homogeneous one also clamps it to the open band (0, S). Before the
-window is applied, the prefixes that sit at score S give both sides of the
-answer at each requested length: all of them are the population, the
-accepted ones the hits, and one division gives the exact rational
-probability. The scanner is a deterministic automaton over {0, 1} that
-remembers just enough of the recent suffix to decide future seed matches;
-suffix letters that can no longer contribute to a match window are dropped,
-which keeps the state count near span * 2**(span - weight).
+The program sweeps the prefixes left to right over integer counts. A
+prefix of length i with q mismatches scores i*s - q*(s+p), so at each length
+the mismatch count fixes the score, and a layer holds one Python int per
+scanner state whose fixed-width lanes count that state's prefixes by
+mismatch count (Kronecker substitution: Schönhage 1982; Harvey 2009). A
+match adds a state's int to its successor's unchanged, a mismatch adds it
+shifted up one lane, so one big-int add moves every prefix score of a state
+at once. After each step the sweep keeps only the lanes whose score can
+still end on S by the longest requested length. That window is the only
+difference between the models: the homogeneous one also clamps it to the
+open band (0, S). Before the window is applied, the lane of score S gives
+both sides of the answer at each requested length: summed over all states
+it is the population, in the accept state the hits, and one division gives
+the exact rational probability. The scanner is a deterministic automaton
+over {0, 1} that remembers just enough of the recent suffix to decide
+future seed matches; suffix letters that can no longer contribute to a
+match window are dropped, which keeps the state count near
+span * 2**(span - weight).
 """
 
 from __future__ import annotations
@@ -158,33 +164,51 @@ def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
              lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
     """(hits, population) per requested length, both read from one sweep."""
     s, p = scheme.match_score, scheme.mismatch_penalty
+    per_mismatch = s + p
     horizon = max(lengths)
     step0, step1, accept = automaton.step0, automaton.step1, automaton.accept
     wanted = set(lengths)
     out: dict[int, tuple[int, int]] = {}
-    # a layer maps each prefix score to the scanner states reached with it, and
-    # those to the number of prefixes
-    layer: dict[int, dict[int, int]] = {0: {automaton.start: 1}}
+    # lane j of a state's int counts its prefixes with base + j mismatches; summed
+    # over all states a lane holds at most C(i, base + j) <= 2**horizon prefixes, so
+    # width bits never carry into the next lane
+    width = horizon + 1
+    lane = (1 << width) - 1
+    layer = [0] * automaton.size
+    layer[automaton.start] = 1
+    base, shift, keep = 0, 0, -1
     for i in range(1, horizon + 1):
-        nxt: dict[int, dict[int, int]] = {}
-        for y, row in layer.items():
-            for step, moved in ((step1, y + s), (step0, y - p)):
-                target = nxt.setdefault(moved, {})
-                get = target.get
-                for st, c in row.items():
-                    to = step[st]
-                    target[to] = get(to, 0) + c
+        nxt = [0] * automaton.size
+        for to0, to1, v in zip(step0, step1, layer):
+            if v:
+                # the previous step's window, applied as the layer is read
+                v = (v >> shift) & keep
+                if v:
+                    nxt[to1] += v
+                    nxt[to0] += v << width
         if i in wanted:
-            # read before the window, which excludes the score itself when homogeneous
-            row = nxt.get(score, {})
-            out[i] = (row.get(accept, 0), sum(row.values()))
+            # read before the window, which excludes the score itself when homogeneous;
+            # no lane below base holds a prefix, and lanes above i read as 0
+            q, rem = divmod(i * s - score, per_mismatch)
+            if rem or q < base:
+                out[i] = (0, 0)
+            else:
+                at = (q - base) * width
+                out[i] = ((nxt[accept] >> at) & lane, (sum(nxt) >> at) & lane)
         # keep the prefix scores that can still end on the score by the horizon
         remaining = horizon - i
         lo, hi = score - remaining * s, score + remaining * p
         if model == HOMOGENEOUS:
             # a homogeneous prefix stays inside the open band (0, score)
             lo, hi = max(lo, 1), min(hi, score - 1)
-        layer = {y: row for y, row in nxt.items() if lo <= y <= hi}
+        # the same window in mismatch counts, ceil((i*s - hi) / (s+p)) through
+        # floor((i*s - lo) / (s+p)); lane qlo becomes the new base
+        qlo = max(base, -((hi - i * s) // per_mismatch))
+        qhi = min(i, (i * s - lo) // per_mismatch)
+        shift = (qlo - base) * width
+        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
+        base = qlo
+        layer = nxt
     return out
 
 

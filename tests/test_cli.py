@@ -227,6 +227,16 @@ class TestOptimize:
         probabilities = [float(r["probability"]) for r in rows]
         assert probabilities == sorted(probabilities, reverse=True)
 
+    def test_homogeneous_score_below_one_rejected_before_the_pool(self, capsys, serial_pool,
+                                                                   monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = invoke(capsys, "optimize", "--weight", "2", "--max-span", "3",
+                                "--length", "10", "--score", "0")
+        assert code == 2
+        assert out == ""
+        assert "score >= 1" in err and "Traceback" not in err
+        assert serial_pool == []
+
     def test_text_footer(self, capsys):
         code, out, _ = invoke(capsys, "optimize", "--weight", "2", "--max-span", "3",
                               "--length", "10", "--score", "4", "--match", "1",

@@ -62,6 +62,11 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             SearchSpec(3, 5, S11, 10, 4, "markov")
 
+    def test_homogeneous_score_below_one_rejected(self):
+        with pytest.raises(ValueError, match="score >= 1"):
+            SearchSpec(2, 3, S11, 10, 0)
+        assert SearchSpec(2, 3, S11, 10, 0, UNIFORM).score == 0
+
 
 class TestFindOptimal:
     def test_matches_scan_oracle(self):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import seedsense.sensitivity as sensitivity_mod
 from seedsense.alignments import DetectionStrategy, ScoringScheme, Seed, strategy_detects
-from seedsense.counting import InfeasibleScore
+from seedsense.counting import InfeasibleScore, count_homogeneous
 from seedsense.sampling import RandomStream, sample_fixed
 from seedsense.sensitivity import (
     HOMOGENEOUS,
@@ -13,6 +14,7 @@ from seedsense.sensitivity import (
     SensitivityQuery,
     SensitivityReport,
     _HitAutomaton,
+    _profile,
     decimal_ratio,
     hit_probability,
     hit_probability_profile,
@@ -190,7 +192,9 @@ class TestOracleEquivalence:
                 assert (report.numerator, report.denominator) == (all_hits, alln)
             checked += 1
         # multi-length profiles: each shorter length is read mid-sweep, before
-        # that step's score window (set by the longest length) is applied
+        # that step's score window (set by the longest length) is applied; the
+        # sweep itself also reads an empty length, where the score's mismatch
+        # count is fractional, above the length or below the lowest kept lane
         profiles = {HOMOGENEOUS: 0, UNIFORM: 0}
         while min(profiles.values()) < 20:
             scheme = ScoringScheme(rng.randint(1, 5), rng.randint(1, 5))
@@ -212,6 +216,12 @@ class TestOracleEquivalence:
                     strategy(pattern, occurrences, overlap), scheme, total, lengths, model)
                 assert [(r.numerator, r.denominator) for r in reports] == \
                     [oracle[n][side] for n in lengths]
+                # s + p >= 2, so of two consecutive lengths at most one reaches the score
+                empty = [n for n in oracle if not oracle[n][side][1]]
+                swept = sorted(set(lengths) | set(rng.sample(empty, min(len(empty), 2))))
+                auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+                assert _profile(auto, scheme, total, swept, model) == \
+                    {n: oracle[n][side] for n in swept}
                 profiles[model] += 1
 
 
@@ -284,6 +294,18 @@ class TestProfile:
             single = hit_probability(query("1011", S13, n, 4, UNIFORM))
             assert (report.numerator, report.denominator) == \
                 (single.numerator, single.denominator)
+
+    def test_lane_capacity_all_model(self):
+        # comb(256, 128) takes 252 bits: a narrower lane carries into its neighbour
+        lengths = [254, 256]
+        reports = hit_probability_profile(strategy("11"), S11, 0, lengths, UNIFORM)
+        assert [r.denominator for r in reports] == [comb(n, n // 2) for n in lengths]
+
+    def test_lane_capacity_homogeneous(self):
+        lengths = [160, 240]
+        reports = hit_probability_profile(strategy("1011"), S13, 40, lengths)
+        assert [r.denominator for r in reports] == \
+            [count_homogeneous(S13, n, 40) for n in lengths]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
