@@ -19,6 +19,7 @@ from typing import Iterator
 
 from ._pool import map_strided
 from .alignments import DetectionStrategy, ScoringScheme, Seed
+from .counting import InfeasibleScore, count_homogeneous, count_unconstrained
 from .sensitivity import HOMOGENEOUS, MODELS, hit_probability_profile
 
 
@@ -106,6 +107,11 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     (default: one per CPU); the ranking is the same for any count.
     """
     started = time.perf_counter()
+    # an empty population fails every candidate alike, so it fails before any worker starts
+    count = count_homogeneous if spec.model == HOMOGENEOUS else count_unconstrained
+    if count(spec.scheme, spec.length, spec.score) == 0:
+        raise InfeasibleScore(
+            f"no alignments of length {spec.length} and score {spec.score} under {spec.scheme}")
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
     # no thread count: as many workers as there are candidates, capped at the CPU count

@@ -20,10 +20,14 @@ open band (0, S). Before the window is applied, the lane of score S gives
 both sides of the answer at each requested length: summed over all states
 it is the population, in the accept state the hits, and one division gives
 the exact rational probability. The scanner is a deterministic automaton
-over {0, 1} that remembers just enough of the recent suffix to decide
-future seed matches; suffix letters that can no longer contribute to a
-match window are dropped, which keeps the state count near
-span * 2**(span - weight).
+over {0, 1} whose state is the set of seed windows still alive, as a
+bitmask, plus the occurrences still needed: the Shift-And state of
+Baeza-Yates & Gonnet ("A new approach to text searching", CACM 1992). Each
+live set is a function of the recent letters that can still complete a
+match, so the automaton is a quotient of the one that remembers those
+letters and is never larger than it. For the weight-11, span-18 seed
+110100110010101111 it has 283 states, against 756 for the suffix automaton
+and 243 for the minimal one.
 """
 
 from __future__ import annotations
@@ -101,33 +105,27 @@ def decimal_ratio(numerator: int, denominator: int, digits: int = 6) -> str:
 class _HitAutomaton:
     """Left-to-right scanner for a detection strategy.
 
-    States are (remembered suffix, occurrences still needed); state 0 is the
-    absorbing accept. On each letter the suffix grows; a full window either
-    fires (decrementing the occurrence count and keeping only the last
-    max_overlap letters) or sheds its first letter. Letters whose window can
-    no longer match are dropped from the front eagerly.
+    States are (live windows, occurrences still needed); state 0 is the
+    absorbing accept. Bit d of the live set marks the seed window that
+    started d letters ago and still matches every required position read so
+    far (the Shift-And state of Baeza-Yates & Gonnet 1992). On each letter
+    every window moves one position on and a new one opens; a mismatch kills
+    the windows whose current position is required. A window that reaches
+    the last position fires: the occurrence count drops, and only windows
+    that started within the last max_overlap letters stay live, since only
+    they can end far enough away to be the next occurrence.
     """
 
     def __init__(self, strategy: DetectionStrategy):
-        seed = strategy.seed
-        span = seed.span
-        mask = seed.required_mask
-        keep = strategy.max_overlap
-        # a suffix of L letters is an int whose bit i holds its letter i; pre[L]
-        # is the seed's required positions among the first L
-        pre = [mask & ((1 << length) - 1) for length in range(span + 1)]
+        span = strategy.seed.span
+        last = 1 << (span - 1)
+        # bit d is set when seed position d is a don't-care
+        survives_mismatch = ~strategy.seed.required_mask & ((last << 1) - 1)
+        after_fire = (1 << strategy.max_overlap) - 1
+        index: dict[tuple[int, int] | None, int] = {}
+        states: list[tuple[int, int] | None] = []
 
-        def canonical(v: int, length: int, remaining: int) -> tuple[int, int, int]:
-            # drop front letters whose match window is already impossible
-            while v & pre[length] != pre[length]:
-                v >>= 1
-                length -= 1
-            return v, length, remaining
-
-        index: dict[tuple[int, int, int] | None, int] = {}
-        states: list[tuple[int, int, int] | None] = []
-
-        def intern(state: tuple[int, int, int] | None) -> int:
+        def intern(state: tuple[int, int] | None) -> int:
             sid = index.get(state)
             if sid is None:
                 sid = index[state] = len(states)
@@ -135,22 +133,20 @@ class _HitAutomaton:
             return sid
 
         accept = intern(None)
-        start = intern((0, 0, strategy.required_occurrences))
+        start = intern((0, strategy.required_occurrences))
         step0: list[int] = [accept]
         step1: list[int] = [accept]
         pos = 1
         while pos < len(states):
-            suffix, length, remaining = states[pos]  # type: ignore[misc]
-            for table, letter in ((step0, 0), (step1, 1)):
-                grown = suffix | letter << length
-                if length + 1 < span:
-                    target = intern(canonical(grown, length + 1, remaining))
-                elif grown & mask != mask:
-                    target = intern(canonical(grown >> 1, span - 1, remaining))
+            live, remaining = states[pos]  # type: ignore[misc]
+            moved = live << 1 | 1
+            for table, windows in ((step0, moved & survives_mismatch), (step1, moved)):
+                if not windows & last:
+                    target = intern((windows, remaining))
                 elif remaining == 1:
                     target = accept
                 else:
-                    target = intern(canonical(grown >> (span - keep), keep, remaining - 1))
+                    target = intern((windows & after_fire, remaining - 1))
                 table.append(target)
             pos += 1
         self.step0 = step0

@@ -3,6 +3,8 @@ import io
 import json
 import os
 
+import pytest
+
 import seedsense.cli as cli_mod
 from seedsense.cli import run
 from seedsense.selfcheck import CheckResult
@@ -235,6 +237,18 @@ class TestOptimize:
         assert code == 2
         assert out == ""
         assert "score >= 1" in err and "Traceback" not in err
+        assert serial_pool == []
+
+    @pytest.mark.parametrize("score, model", [("40", "all"), ("4", "homogeneous")])
+    def test_infeasible_score_rejected_before_the_pool(self, capsys, serial_pool, monkeypatch,
+                                                       score, model):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = invoke(capsys, "optimize", "--weight", "3", "--max-span", "5",
+                                "--length", "12", "--score", score, "--model", model,
+                                "--threads", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: no alignments of length 12 and score")
         assert serial_pool == []
 
     def test_text_footer(self, capsys):

@@ -317,11 +317,13 @@ class TestProfile:
 
 
 class TestHitAutomaton:
+    # beside each pin, the state count of the strategy's Moore-minimal automaton
     @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
-        ("1110010110111", 1, 0, 87),
-        ("111001001010111", 1, 0, 311),
-        ("110100110010101111", 1, 0, 756),
-        ("110100110010101111", 2, 17, 1511),
+        ("1110010110111", 1, 0, 63),        # minimal 59
+        ("111001001010111", 1, 0, 156),     # minimal 142
+        ("110100110010101111", 1, 0, 283),  # minimal 243
+        ("110100110010101111", 2, 17, 565),  # minimal 524
+        ("110100110010101111", 3, 5, 847),  # minimal 727
     ])
     def test_state_counts(self, pattern, occurrences, overlap, size):
         assert _HitAutomaton(strategy(pattern, occurrences, overlap)).size == size
@@ -343,6 +345,25 @@ class TestHitAutomaton:
                 if n < 12:
                     stack.append((bits, n + 1, auto.step0[state]))
                     stack.append((bits | 1 << n, n + 1, auto.step1[state]))
+        # spans 9-18 reach fire masks wider than the exhaustive part covers; every
+        # prefix of random 80-letter strings
+        for _ in range(100):
+            span = rng.randint(9, 18)
+            pattern = "1" + "".join(rng.choice("01") for _ in range(span - 2)) + "1"
+            occurrences = rng.randint(1, 3)
+            overlap = rng.randint(0, span - 1)
+            auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+            # biased towards matches, so that most strings hold several occurrences
+            identity = rng.uniform(0.5, 0.9)
+            for _ in range(20):
+                bits = sum(1 << i for i in range(80) if rng.random() < identity)
+                state = auto.start
+                for n in range(81):
+                    expected = subset_detects(bits, n, pattern, occurrences, overlap)
+                    assert (state == auto.accept) == expected, (pattern, occurrences, overlap,
+                                                                n, bits)
+                    if n < 80:
+                        state = (auto.step1 if bits >> n & 1 else auto.step0)[state]
 
 
 class TestMonteCarlo:
