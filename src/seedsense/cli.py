@@ -107,18 +107,24 @@ def _parse_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
+def _csv(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def _emit(rows: list[dict], text_lines: list[str], fmt: str, output_path: str | None) -> None:
     if fmt == "text":
         payload = "".join(line + "\n" for line in text_lines)
     elif fmt == "csv":
         # every row of a command has the same keys in the same order
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(rows[0])
-        writer.writerows(row.values() for row in rows)
-        payload = buffer.getvalue()
+        payload = _csv([rows[0], *(row.values() for row in rows)])
     else:
         payload = json.dumps(rows, indent=2) + "\n"
+    _write(payload, output_path)
+
+
+def _write(payload: str, output_path: str | None) -> None:
     if output_path:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -182,22 +188,22 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
         drawn = sample_free(scheme, length, samples, stream, workers=workers)
     else:
         drawn = sample_fixed(scheme, length, score, samples, stream, workers=workers)
-    texts = [str(a) for a in drawn]
-    rows: list[dict] = []
-    text_lines: list[str] = []
-    # each sample is rendered once, into the requested format only
-    if fmt == "text":
-        text_lines = texts
-        text_lines.append(
+    params = {"match": match, "mismatch": mismatch, "length": length, "score": score,
+              "rng_seed": rng_seed, "samples": samples}
+    if fmt == "csv":
+        # the parameter columns are the same on every row: render them once and
+        # end each sample's text (never quoted) with them; there is at least one
+        # sample, and joining builds no per-row string, which keeps peak memory down
+        tail = "," + _csv([params.values()])
+        _write(_csv([["alignment", *params]]) + tail.join(drawn) + tail, output_path)
+    elif fmt == "text":
+        drawn.append(
             f"# match={match} mismatch={mismatch} length={length} "
             f"score={'any' if score is None else score} rng-seed={rng_seed} samples={samples}"
         )
+        _emit([], drawn, fmt, output_path)
     else:
-        rows = [{
-            "alignment": text, "match": match, "mismatch": mismatch, "length": length,
-            "score": score, "rng_seed": rng_seed, "samples": samples,
-        } for text in texts]
-    _emit(rows, text_lines, fmt, output_path)
+        _emit([{"alignment": text, **params} for text in drawn], [], fmt, output_path)
 
 
 def _sensitivity_rows(reports, precision: int) -> list[dict]:

@@ -14,12 +14,16 @@ member has exactly one rank, so a uniform rank gives an exactly uniform
 sample, with integer arithmetic only.
 
 The rank of sample i is counter-based (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3"): its 64-bit words are the SplitMix64 sequence
-started at the child seed ``stream.spawn(i).seed``, and a try that is not
-below the bound is rejected. A ``RandomStream`` is only that validated seed;
-nothing draws from it directly. Output therefore depends only on (seed,
-sample index) and is identical no matter how samples are split across
-workers, each of which builds its own population.
+numbers: as easy as 1, 2, 3"): ``_ranks`` reads its 64-bit words from the
+SplitMix64 sequence started at the child seed ``stream.spawn(i).seed``, and
+rejects a try that is not below the bound. A ``RandomStream`` is only that
+validated seed; nothing draws from it directly. Output therefore depends
+only on (seed, sample index) and is identical no matter how samples are
+split across workers, each of which builds its own population.
+
+A sample stays an int bit string through the draw and the workers;
+``sample_fixed`` and ``sample_free`` return each one as its 0/1 text, the
+``str`` of its ``Alignment``, with no ``Alignment`` object built per sample.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from typing import Iterable, Iterator
 
 from ._pool import map_strided
-from .alignments import Alignment, ScoringScheme
+from .alignments import ScoringScheme
 from .counting import CountTableD, InfeasibleScore, feasible_composition, positive_scores
 
 _MASK64 = (1 << 64) - 1
@@ -52,7 +56,7 @@ class RandomStream:
 
     Sample i draws its rank from the SplitMix64 sequence started at the
     child seed ``spawn(i).seed``, the (i+1)-th output of the SplitMix64
-    sequence started at this stream's seed (see ``_rank``).
+    sequence started at this stream's seed (see ``_ranks``).
     """
 
     def __init__(self, seed: int):
@@ -66,30 +70,38 @@ class RandomStream:
         return RandomStream(_child_seed(self.seed, index))
 
 
-def _rank(seed: int, index: int, bound: int) -> int:
-    """Uniform integer in [0, bound) for sample `index` of the stream seeded `seed`.
+def _ranks(seed: int, indices: Iterable[int], bound: int) -> Iterator[int]:
+    """A uniform integer in [0, bound) for each sample index of the stream seeded `seed`.
 
-    The words are the SplitMix64 sequence started at the child seed, which
-    is ``RandomStream(seed).spawn(index).seed``. Starting from the scrambled
+    The words of sample i are the SplitMix64 sequence started at its child
+    seed, ``RandomStream(seed).spawn(i).seed``. Starting from the scrambled
     child seed keeps the words of neighbouring indices apart; stepping
-    ``seed + (index+1)*GOLDEN`` directly would make a sample's retry word the
+    ``seed + (i+1)*GOLDEN`` directly would make a sample's retry word the
     next sample's first word. A k-bit bound takes ceil(k/64) words per try,
-    and a try that is not below the bound is rejected.
+    and a try that is not below the bound is rejected. Both finalizers
+    (``_child_seed`` and each word's ``_splitmix64``) are inlined.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     k = (bound - 1).bit_length()
     words = -(-k // 64)
     drop = 64 * words - k
-    state = _child_seed(seed, index)
-    while True:
-        r = 0
-        for _ in range(words):
-            state = (state + _GOLDEN) & _MASK64
-            r = r << 64 | _splitmix64(state)
-        r >>= drop
-        if r < bound:
-            return r
+    for i in indices:
+        x = (seed + (i + 1) * _GOLDEN) & _MASK64
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+        state = x ^ (x >> 31)
+        while True:
+            r = 0
+            for _ in range(words):
+                state = (state + _GOLDEN) & _MASK64
+                x = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+                r = r << 64 | (x ^ (x >> 31))
+            r >>= drop
+            if r < bound:
+                yield r
+                break
 
 
 def _match_counts(table: CountTableD, n: int) -> list[list[int]]:
@@ -172,15 +184,15 @@ def _draw(indices: Iterable[int], scheme: ScoringScheme, n: int, score: int | No
     """The bit strings of samples `indices` of the stream seeded `seed`.
 
     Every sampler draws through here: a worker builds its own population and
-    unranks one ``_rank`` per index.
+    unranks the ``_ranks`` of its indices.
     """
     population = _population(scheme, n, score, uniform)
     bound = sum(size for size, _ in population[0])
-    return list(_unrank(population, (_rank(seed, i, bound) for i in indices)))
+    return list(_unrank(population, _ranks(seed, indices, bound)))
 
 
 def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
-            stream: RandomStream, workers: int) -> list[Alignment]:
+            stream: RandomStream, workers: int) -> list[str]:
     if n < 1:
         raise ValueError("length must be >= 1")
     if count < 0:
@@ -188,20 +200,26 @@ def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
     if score is not None:
         _population(scheme, n, score)  # reject an infeasible score before any worker starts
     bits = map_strided(_draw, range(count), workers, scheme, n, score, stream.seed)
-    return [Alignment(n, b) for b in bits]
+    # the str(Alignment) text, letter b_1 first: the binary numeral behind a
+    # leading 1 that keeps its zeros, reversed, with "0b1" dropped
+    top = 1 << n
+    return [bin(b | top)[:2:-1] for b in bits]
 
 
 def sample_fixed(scheme: ScoringScheme, n: int, score: int, count: int,
-                 stream: RandomStream, workers: int = 1) -> list[Alignment]:
+                 stream: RandomStream, workers: int = 1) -> list[str]:
     """Uniform samples over homogeneous alignments of length n and exact score.
 
-    Output is identical for any worker count; worker w of W draws every W-th
-    sample from index w, and at most one worker per CPU is started.
+    Each sample is its 0/1 text, letter b_1 first: the ``str`` of its
+    ``Alignment``, which ``Alignment.from_string`` parses back. Output is
+    identical for any worker count; worker w of W draws every W-th sample
+    from index w, and at most one worker per CPU is started.
     """
     return _sample(scheme, n, score, count, stream, workers)
 
 
 def sample_free(scheme: ScoringScheme, n: int, count: int,
-                stream: RandomStream, workers: int = 1) -> list[Alignment]:
-    """Uniform samples over all homogeneous alignments of length n, any score."""
+                stream: RandomStream, workers: int = 1) -> list[str]:
+    """Uniform samples over all homogeneous alignments of length n, any score,
+    each as its 0/1 text like ``sample_fixed``."""
     return _sample(scheme, n, None, count, stream, workers)

@@ -165,10 +165,10 @@ def check_sampler_validity(rng_seed: int = 7) -> CheckResult:
     scheme = ScoringScheme(1, 3)
     n, target = 14, 6
     stream = RandomStream(rng_seed)
-    for a in sample_fixed(scheme, n, target, 300, stream):
+    for a in map(Alignment.from_string, sample_fixed(scheme, n, target, 300, stream)):
         if not is_homogeneous(a, scheme) or score(a, scheme) != target:
             return CheckResult("sampler-validity", False, f"bad fixed-score sample {a}")
-    for a in sample_free(scheme, n, 300, stream):
+    for a in map(Alignment.from_string, sample_free(scheme, n, 300, stream)):
         if not is_homogeneous(a, scheme):
             return CheckResult("sampler-validity", False, f"bad free-score sample {a}")
     return CheckResult("sampler-validity", True, "600 samples, fixed and free score")

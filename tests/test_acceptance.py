@@ -28,6 +28,7 @@ import pytest
 import scipy.stats
 
 from seedsense.alignments import (
+    Alignment,
     DetectionStrategy,
     ScoringScheme,
     Seed,
@@ -392,7 +393,8 @@ def _sampler_uniformity(scheme, n, total, samples, stream):
     population, and return (members, chi-square p-value, total variation)
     against the uniform law on the enumerated population."""
     members = [str(a) for a in enumerate_homogeneous(scheme, n, total)]
-    drawn = sample_fixed(scheme, n, total, samples, stream)
+    drawn = [Alignment.from_string(text)
+             for text in sample_fixed(scheme, n, total, samples, stream)]
     for a in drawn:
         assert is_homogeneous(a, scheme) and alignment_score(a, scheme) == total
     counts = Counter(str(a) for a in drawn)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -212,6 +213,32 @@ class TestMc:
         assert row["samples"] == 400
         assert 0.0 <= float(row["estimate"]) <= 1.0
         assert "stderr" in row
+
+
+class TestPinnedOutput:
+    """The sha256 of stdout, recorded when each sample was still built as an
+    Alignment and each CSV row as a dict; the bytes must not change."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        pytest.param("generate --length 40 --score 12 --samples 2000 --rng-seed 7 --format csv",
+                     "d1d45c28ce9f96b903378473a16f2fb78f25a16c33ff883aa047ea1022bf30cb",
+                     id="generate-fixed-csv"),
+        pytest.param("generate --length 64 --samples 500 --rng-seed 9 --format json",
+                     "e1ab66b8ee909f745f69639c6641ac80ca37ccef845211364e4ad2d1b071076c",
+                     id="generate-free-json"),
+        pytest.param("generate --length 17 --score 9 --match 1 --mismatch 1 --samples 300 "
+                     "--rng-seed 3 --threads 2",
+                     "8c1a8d6120f8009771689213ef95fca9107c464aa223be157429421ee8f7c586",
+                     id="generate-fixed-text-2-workers"),
+        pytest.param("mc --seed 1010110111010001 --length 40 --score 12 --model all "
+                     "--samples 5000 --rng-seed 4 --format csv",
+                     "4bf9d65f47a09f2b15422f059ecc60a6eae775c8a67881082cac2aaeb4035650",
+                     id="mc-all-csv"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = invoke(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOptimize:

@@ -4,14 +4,21 @@ from collections import Counter
 
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
-from seedsense.alignments import ScoringScheme, enumerate_homogeneous, is_homogeneous, score
+from seedsense.alignments import (
+    Alignment,
+    ScoringScheme,
+    enumerate_homogeneous,
+    is_homogeneous,
+    score,
+)
 from seedsense.counting import InfeasibleScore
 from seedsense.sampling import (
     RandomStream,
     _GOLDEN,
     _population,
-    _rank,
+    _ranks,
     _splitmix64,
     _unrank,
     sample_fixed,
@@ -22,6 +29,26 @@ from oracles import GenerationBudgetExceeded, sample_rejection
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
+MASK64 = (1 << 64) - 1
+
+
+def rank_by_definition(seed, index, bound):
+    """(rank, tries) of sample `index`: ceil(k/64) words per try from the
+    SplitMix64 sequence started at spawn(index).seed, for a k-bit bound, top
+    bits kept, and a try that is not below the bound rejected."""
+    k = (bound - 1).bit_length()
+    words = -(-k // 64)
+    state = RandomStream(seed).spawn(index).seed
+    tries = 0
+    while True:
+        tries += 1
+        r = 0
+        for _ in range(words):
+            state = (state + _GOLDEN) & MASK64
+            r = r << 64 | _splitmix64(state)
+        r >>= 64 * words - k
+        if r < bound:
+            return r, tries
 
 
 class TestRandomStream:
@@ -35,8 +62,7 @@ class TestRandomStream:
         a = RandomStream(123)
         b = RandomStream(123)
         assert [a.spawn(i).seed for i in range(20)] == [b.spawn(i).seed for i in range(20)]
-        assert [_rank(a.seed, i, 1 << 32) for i in range(20)] == \
-            [_rank(b.seed, i, 1 << 32) for i in range(20)]
+        assert list(_ranks(a.seed, range(20), 1 << 32)) == list(_ranks(b.seed, range(20), 1 << 32))
 
     def test_splitmix_reference_vector(self):
         # first output of the published SplitMix64 sequence seeded with 0
@@ -52,25 +78,49 @@ class TestRandomStream:
             base.spawn(-1)
 
 
+# bound, and whether it rejects about half the tries
+RANK_BOUNDS = [
+    pytest.param(1, False, id="1"),
+    pytest.param(1 << 20, False, id="2^20"),
+    pytest.param(1 << 64, False, id="2^64"),
+    pytest.param((1 << 64) + 1, True, id="2^64+1"),
+    pytest.param((1 << 129) + 12345, True, id="130-bit"),
+]
+
+
 class TestRank:
     def test_range(self):
         for bound in (1, 2, 3, 10, 1 << 70):
-            for i in range(50):
-                assert 0 <= _rank(7, i, bound) < bound
+            assert all(0 <= r < bound for r in _ranks(7, range(50), bound))
         with pytest.raises(ValueError):
-            _rank(7, 0, 0)
+            list(_ranks(7, [0], 0))
+
+    @pytest.mark.parametrize("bound, rejects", RANK_BOUNDS)
+    def test_equals_per_index_definition(self, bound, rejects):
+        expected = [rank_by_definition(5, i, bound) for i in range(300)]
+        assert list(_ranks(5, range(300), bound)) == [r for r, _ in expected]
+        assert any(tries > 1 for _, tries in expected) == rejects
+
+    @pytest.mark.parametrize("bound, rejects", RANK_BOUNDS)
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_strided_chunks(self, bound, rejects, workers):
+        # what worker w of W draws: every W-th index from w
+        for w in range(workers):
+            indices = range(w, 100, workers)
+            assert list(_ranks(11, indices, bound)) == \
+                [rank_by_definition(11, i, bound)[0] for i in indices]
 
     def test_words_continue_the_child_seed(self):
         # a 64-bit bound takes the first word after spawn(i).seed, unrejected
-        for i in range(8):
-            child = RandomStream(99).spawn(i).seed
-            assert _rank(99, i, 1 << 64) == _splitmix64((child + _GOLDEN) & ((1 << 64) - 1))
+        children = [RandomStream(99).spawn(i).seed for i in range(8)]
+        assert list(_ranks(99, range(8), 1 << 64)) == \
+            [_splitmix64((child + _GOLDEN) & MASK64) for child in children]
 
     def test_neighbouring_indices_do_not_share_words(self):
         # bound 2**20 + 1 rejects about half the tries; a retry word that is the
         # next index's first word would make about a quarter of neighbours equal
         bound = (1 << 20) + 1
-        ranks = [_rank(3, i, bound) for i in range(20_000)]
+        ranks = list(_ranks(3, range(20_000), bound))
         equal = sum(a == b for a, b in zip(ranks, ranks[1:]))
         assert equal / (len(ranks) - 1) < 0.001
 
@@ -99,6 +149,48 @@ class TestUnranking:
         assert sorted(_unrank(population, range(len(members)))) == members
 
 
+schemes = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda sp: ScoringScheme(*sp))
+lengths = st.integers(1, 12)
+properties = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestUnrankingProperties:
+    """Random schemes (s, p) in [1, 5]^2 and lengths up to 12: unranking every
+    rank below the population gives each enumerated member exactly once."""
+
+    @properties
+    @given(scheme=schemes, n=lengths, data=st.data())
+    def test_fixed_score(self, scheme, n, data):
+        q = data.draw(st.integers(0, n), label="mismatches")
+        total = (n - q) * scheme.match_score - q * scheme.mismatch_penalty
+        members = sorted(a.bits for a in enumerate_homogeneous(scheme, n, total))
+        if not members:
+            with pytest.raises(InfeasibleScore):
+                _population(scheme, n, total)
+            return
+        population = _population(scheme, n, total)
+        assert sorted(_unrank(population, range(len(members)))) == members
+
+    @properties
+    @given(scheme=schemes, n=lengths)
+    def test_free_score(self, scheme, n):
+        members = sorted(a.bits for a in enumerate_homogeneous(scheme, n))
+        population = _population(scheme, n, None)
+        size = sum(size for size, _ in population[0])
+        assert size == len(members)
+        assert sorted(_unrank(population, range(size))) == members
+
+    @properties
+    @given(scheme=schemes, n=lengths, data=st.data())
+    def test_uniform(self, scheme, n, data):
+        q = data.draw(st.integers(0, n), label="mismatches")
+        total = (n - q) * scheme.match_score - q * scheme.mismatch_penalty
+        members = [bits for bits in range(1 << n) if bits.bit_count() == n - q]
+        population = _population(scheme, n, total, uniform=True)
+        assert population[0][0][0] == len(members)
+        assert sorted(_unrank(population, range(len(members)))) == members
+
+
 class TestSampleFixed:
     def test_unique_member(self):
         out = sample_fixed(S11, 5, 3, 50, RandomStream(1))
@@ -115,16 +207,16 @@ class TestSampleFixed:
             sample_fixed(S13, 12, 4, 1, RandomStream(0))  # feasible composition, empty set
 
     def test_validity_and_score(self):
-        for a in sample_fixed(S13, 14, 6, 500, RandomStream(3)):
+        for a in map(Alignment.from_string, sample_fixed(S13, 14, 6, 500, RandomStream(3))):
             assert is_homogeneous(a, S13)
             assert score(a, S13) == 6
 
     def test_validity_general_scheme(self):
         scheme = ScoringScheme(2, 3)
-        for a in sample_fixed(scheme, 12, 9, 300, RandomStream(14)):
+        for a in map(Alignment.from_string, sample_fixed(scheme, 12, 9, 300, RandomStream(14))):
             assert is_homogeneous(a, scheme)
             assert score(a, scheme) == 9
-        for a in sample_free(scheme, 12, 300, RandomStream(15)):
+        for a in map(Alignment.from_string, sample_free(scheme, 12, 300, RandomStream(15))):
             assert is_homogeneous(a, scheme)
 
     def test_deterministic(self):
@@ -152,7 +244,7 @@ class TestSampleFree:
         assert 0.4 < counts["11011"] / 2000 < 0.6
 
     def test_validity(self):
-        for a in sample_free(S11, 12, 300, RandomStream(8)):
+        for a in map(Alignment.from_string, sample_free(S11, 12, 300, RandomStream(8))):
             assert is_homogeneous(a, S11)
 
     def test_worker_split_invariant(self):

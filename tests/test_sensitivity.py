@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import seedsense.sensitivity as sensitivity_mod
-from seedsense.alignments import DetectionStrategy, ScoringScheme, Seed, strategy_detects
+from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
 from seedsense.counting import InfeasibleScore, count_homogeneous
 from seedsense.sampling import RandomStream, sample_fixed
 from seedsense.sensitivity import (
@@ -378,7 +378,8 @@ class TestMonteCarlo:
                                                          ("11111", 2, 24, 8, 3),
                                                          ("1110010110111", 1, 40, 12, 5)):
             q = query(pattern, S13, n, total, occurrences=occurrences)
-            drawn = sample_fixed(S13, n, total, 60, RandomStream(rng_seed))
+            drawn = [Alignment.from_string(text)
+                     for text in sample_fixed(S13, n, total, 60, RandomStream(rng_seed))]
             detected = [strategy_detects(q.strategy, a) for a in drawn]
             assert 0 < sum(detected) < len(detected)
             for samples in range(1, len(drawn) + 1):
