@@ -6,19 +6,15 @@ from .alignments import (
     DetectionStrategy,
     ScoringScheme,
     Seed,
-    Walk,
     enumerate_homogeneous,
-    from_walk,
     is_homogeneous,
     is_homogeneous_segments,
     score,
     seed_detects,
     strategy_detects,
-    to_walk,
 )
 from .counting import (
     Composition,
-    CountTableD,
     InfeasibleScore,
     count_homogeneous,
     count_unconstrained,
@@ -47,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alignment",
     "Composition",
-    "CountTableD",
     "DetectionStrategy",
     "HOMOGENEOUS",
     "InfeasibleScore",
@@ -61,7 +56,6 @@ __all__ = [
     "SensitivityQuery",
     "SensitivityReport",
     "UNIFORM",
-    "Walk",
     "count_homogeneous",
     "count_unconstrained",
     "decimal_ratio",
@@ -69,7 +63,6 @@ __all__ = [
     "enumerate_seeds",
     "feasible_composition",
     "find_optimal",
-    "from_walk",
     "hit_probability",
     "hit_probability_profile",
     "is_homogeneous",
@@ -81,5 +74,4 @@ __all__ = [
     "seed_count",
     "seed_detects",
     "strategy_detects",
-    "to_walk",
 ]

@@ -55,19 +55,9 @@ class Alignment:
                 bits |= 1 << i
         return cls(len(text), bits)
 
-    def letters(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
-
     def __str__(self) -> str:
         # letter b_1 first: the binary numeral, zero-padded to the length, reversed
         return format(self.bits, f"0{self.length}b")[::-1]
-
-
-@dataclass(frozen=True)
-class Walk:
-    """Lattice walk of prefix scores: points (k, y_k) for k = 0..n, starting at (0, 0)."""
-
-    points: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -127,30 +117,6 @@ def score(alignment: Alignment, scheme: ScoringScheme) -> int:
     """Total alignment score: sum of per-letter scores."""
     matches = alignment.bits.bit_count()
     return matches * scheme.match_score - (alignment.length - matches) * scheme.mismatch_penalty
-
-
-def to_walk(alignment: Alignment, scheme: ScoringScheme) -> Walk:
-    points = [(0, 0)]
-    y = 0
-    for k in range(alignment.length):
-        y += scheme.match_score if (alignment.bits >> k) & 1 else -scheme.mismatch_penalty
-        points.append((k + 1, y))
-    return Walk(tuple(points))
-
-
-def from_walk(walk: Walk, scheme: ScoringScheme) -> Alignment:
-    if not walk.points or walk.points[0] != (0, 0):
-        raise ValueError("walk must start at the origin (0, 0)")
-    bits = 0
-    for i in range(1, len(walk.points)):
-        k0, y0 = walk.points[i - 1]
-        k1, y1 = walk.points[i]
-        step = (k1 - k0, y1 - y0)
-        if step == (1, scheme.match_score):
-            bits |= 1 << (i - 1)
-        elif step != (1, -scheme.mismatch_penalty):
-            raise ValueError(f"step {step} is not a unit match or mismatch step under {scheme}")
-    return Alignment(len(walk.points) - 1, bits)
 
 
 def _walk_homogeneous(bits: int, n: int, s: int, p: int, total: int) -> bool:

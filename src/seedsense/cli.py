@@ -57,7 +57,9 @@ def _scheme_options(f):
 
 def _output_directory_exists(ctx, param, path: str | None) -> str | None:
     # checked while parsing, so a request that could not be written does no work
-    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    if path == "":
+        raise click.BadParameter("path is empty")
+    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise click.BadParameter(f"directory of {path!r} does not exist")
     return path
 
@@ -125,7 +127,7 @@ def _emit(rows: list[dict], text_lines: list[str], fmt: str, output_path: str | 
 
 
 def _write(payload: str, output_path: str | None) -> None:
-    if output_path:
+    if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
@@ -190,20 +192,25 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
         drawn = sample_fixed(scheme, length, score, samples, stream, workers=workers)
     params = {"match": match, "mismatch": mismatch, "length": length, "score": score,
               "rng_seed": rng_seed, "samples": samples}
+    # every format is a head, the sample texts (never quoted or escaped) joined by
+    # one separator, and a tail; there is at least one sample, and joining builds no
+    # per-row string, which keeps peak memory down
     if fmt == "csv":
-        # the parameter columns are the same on every row: render them once and
-        # end each sample's text (never quoted) with them; there is at least one
-        # sample, and joining builds no per-row string, which keeps peak memory down
-        tail = "," + _csv([params.values()])
-        _write(_csv([["alignment", *params]]) + tail.join(drawn) + tail, output_path)
-    elif fmt == "text":
-        drawn.append(
-            f"# match={match} mismatch={mismatch} length={length} "
-            f"score={'any' if score is None else score} rng-seed={rng_seed} samples={samples}"
-        )
-        _emit([], drawn, fmt, output_path)
+        # the parameter columns are the same on every row: render them once
+        sep = tail = "," + _csv([params.values()])
+        head = _csv([["alignment", *params]])
+    elif fmt == "json":
+        # one row rendered around a placeholder and indented as a list element
+        # (the text after the placeholder starts mid-line)
+        row = json.dumps({"alignment": "\0", **params}, indent=2).replace("\n", "\n  ")
+        before, after = row.split("\\u0000")
+        head, sep, tail = "[\n  " + before, after + ",\n  " + before, after + "\n]\n"
     else:
-        _emit([{"alignment": text, **params} for text in drawn], [], fmt, output_path)
+        head, sep = "", "\n"
+        tail = (f"\n# match={match} mismatch={mismatch} length={length} "
+                f"score={'any' if score is None else score} rng-seed={rng_seed} "
+                f"samples={samples}\n")
+    _write(head + sep.join(drawn) + tail, output_path)
 
 
 def _sensitivity_rows(reports, precision: int) -> list[dict]:

@@ -1,13 +1,29 @@
-"""Arbitrary-precision counting of score-constrained positive walks.
+"""Exact counts of score-constrained walks, by one lane-packed sweep.
 
-One table family backs everything else here: ``CountTableD`` counts walk
-suffixes that culminate at a fixed final score, with intermediate ordinates
-confined to the open band (0, score). Dense, O(score * horizon) space.
+Every homogeneous count, sampler step and hit count comes from
+``lane_sweep``. It runs over prefixes left to right, one layer per length,
+with one Python int per state of a scanner automaton; with a single state
+there is no scanner and the sweep counts the whole population. A prefix of length i with q mismatches scores
+i*s - q*(s+p), so at each length the mismatch count fixes the score, and a
+state's int packs its prefix counts in fixed-width lanes, one per mismatch
+count (Kronecker substitution: Schönhage 1982; Harvey 2009). A match adds a
+state's int to its successor's unchanged, a mismatch adds it shifted up one
+lane, so one big-int add moves every prefix score of a state at once. After
+each step a window keeps only the lanes whose score can still end on the
+target by the horizon. That window is the only difference between the two
+models: the homogeneous one also clamps it to the open band (0, score),
+where a homogeneous walk stays until its last step.
 
-A free score needs no table of its own. Homogeneous alignments of length n
-are the disjoint union, over the positive totals a length-n alignment can
-reach, of the fixed-score populations, so free-score counts are sums of
-fixed-score counts.
+Three readers share the sweep: ``count_homogeneous`` reads the lane of the
+target score at the last length, a free score summing this over
+``positive_scores``; the sampler reads every windowed layer as completion
+counts (see ``sampling``); and the sensitivity program reads hits and
+population per requested length (see ``sensitivity``).
+
+``CountTableD`` counts the same walks backward, as suffixes, in a dense
+table. The engine does not use it: it is the independent reference that
+``selfcheck`` compares the sweep's completion counts against, and ``curve``
+filters empty lengths with it.
 
 Counts are exact Python integers; they outgrow 64 bits around length 70 for
 dense schemes.
@@ -17,8 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .alignments import ScoringScheme
+
+HOMOGENEOUS = "homogeneous"
+UNIFORM = "all"
+MODELS = (HOMOGENEOUS, UNIFORM)
+
 
 class InfeasibleScore(ValueError):
     """No alignment of the requested length and score exists under the scheme."""
@@ -93,6 +115,59 @@ def positive_scores(scheme: ScoringScheme, n: int) -> range:
     return range(low * (s + p) - n * p, n * s + 1, s + p)
 
 
+def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringScheme,
+               score: int, horizon: int, model: str) -> Iterator[tuple[list[int], int, int, int]]:
+    """Prefix counts by state and mismatch count, one layer per length 0..horizon.
+
+    `step0` and `step1` map each state to its successor on a mismatch and on
+    a match; ``[0], [0], 0`` is the sweep without a scanner. Each yield is
+    ``(layer, base, low, high)``: lane j of ``layer[state]``, ``horizon + 1``
+    bits wide, counts the state's prefixes with base + j mismatches, before
+    the window; low..high are the mismatch counts the window keeps, those
+    whose score can still end on `score` at the horizon (inside the open band
+    (0, score) when homogeneous). The empty start prefix is kept as it is.
+    """
+    s, p = scheme.match_score, scheme.mismatch_penalty
+    per_mismatch = s + p
+    # summed over all states a lane holds at most C(i, q) <= 2**horizon prefixes, so
+    # width bits never carry into the next lane
+    width = horizon + 1
+    size = len(step0)
+    layer = [0] * size
+    layer[start] = 1
+    yield layer, 0, 0, 0
+    base, shift, keep = 0, 0, -1
+    for i in range(1, horizon + 1):
+        nxt = [0] * size
+        for to0, to1, v in zip(step0, step1, layer):
+            if v:
+                # the previous step's window, applied as the layer is read
+                v = (v >> shift) & keep
+                if v:
+                    nxt[to1] += v
+                    nxt[to0] += v << width
+        # keep the prefix scores that can still end on the score by the horizon
+        remaining = horizon - i
+        lo, hi = score - remaining * s, score + remaining * p
+        if model == HOMOGENEOUS:
+            # a homogeneous prefix stays inside the open band (0, score)
+            lo, hi = max(lo, 1), min(hi, score - 1)
+        # the same window in mismatch counts, ceil((i*s - hi) / (s+p)) through
+        # floor((i*s - lo) / (s+p)); lane qlo becomes the new base
+        qlo = max(base, -((hi - i * s) // per_mismatch))
+        qhi = min(i, (i * s - lo) // per_mismatch)
+        yield nxt, base, qlo, qhi
+        shift = (qlo - base) * width
+        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
+        base = qlo
+        layer = nxt
+
+
+def lane(v: int, q: int, base: int, width: int) -> int:
+    """The count in lane q of a layer int whose lanes are `width` bits wide and start at `base`."""
+    return (v >> (q - base) * width) & ((1 << width) - 1) if q >= base else 0
+
+
 def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -> int:
     """Exact number of homogeneous alignments of length n (and score, when fixed).
 
@@ -102,11 +177,14 @@ def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -
     if n < 1:
         raise ValueError("length must be >= 1")
     if score is None:
-        # one table at a time, so memory stays O(n * score)
         return sum(count_homogeneous(scheme, n, t) for t in positive_scores(scheme, n))
-    if score < 1 or feasible_composition(scheme, n, score) is None:
+    comp = feasible_composition(scheme, n, score)
+    if score < 1 or comp is None:
         return 0
-    return CountTableD(scheme, score, n).count(0, n)
+    for layer, base, _, _ in lane_sweep([0], [0], 0, scheme, score, n, HOMOGENEOUS):
+        pass
+    # the lane of the score itself, read before the window excludes it
+    return lane(layer[0], comp.mismatches, base, n + 1)
 
 
 def count_unconstrained(scheme: ScoringScheme, n: int, score: int) -> int:

@@ -11,7 +11,10 @@ a class by subtracting class sizes, then walks left to right, taking the
 match step when the rank is below the number of members that match there,
 and otherwise subtracting that number and taking the mismatch step. Each
 member has exactly one rank, so a uniform rank gives an exactly uniform
-sample, with integer arithmetic only.
+sample, with integer arithmetic only. The walk is keyed on the mismatches
+placed so far, and its counts are the layers of ``counting.lane_sweep``
+read backward: the uniform model's sweep has no band, a homogeneous one the
+band of its class's score.
 
 The rank of sample i is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3"): ``_ranks`` reads its 64-bit words from the
@@ -28,12 +31,18 @@ A sample stays an int bit string through the draw and the workers;
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator
 
 from ._pool import map_strided
 from .alignments import ScoringScheme
-from .counting import CountTableD, InfeasibleScore, feasible_composition, positive_scores
+from .counting import (
+    HOMOGENEOUS,
+    InfeasibleScore,
+    feasible_composition,
+    lane,
+    lane_sweep,
+    positive_scores,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,90 +113,87 @@ def _ranks(seed: int, indices: Iterable[int], bound: int) -> Iterator[int]:
                 break
 
 
-def _match_counts(table: CountTableD, n: int) -> list[list[int]]:
-    # completions of a length-n walk after a match at each step, by ordinate:
-    # the table row of the steps left, shifted down by the match score
-    s = table.scheme.match_score
-    rows = table._rows
-    last = [0] * table.score
-    last[table.score - s] = 1
-    return [rows[k][s:] + [0] * s for k in range(n - 1, 0, -1)] + [last]
-
-
-_Population = tuple[list[tuple[int, list[list[int]]]], int, int]
+_Population = list[tuple[int, list[list[int]]]]
 
 
 def _population(scheme: ScoringScheme, n: int, score: int | None,
-                uniform: bool = False) -> _Population:
-    """The population a sample is drawn from, as ``(classes, on_match, on_mismatch)``.
+                model: str = HOMOGENEOUS) -> _Population:
+    """The population a sample is drawn from, as a list of (size, steps) classes.
 
-    Each class is (size, steps): ``steps[j][y]`` is the number of the class's
-    members that take a match at step j from ordinate y, and a walk moves its
-    ordinate by `on_match` or `on_mismatch`. A homogeneous population has one
-    class per score (each positive score, ascending, when `score` is None),
-    walked on the ordinates of that score's ``CountTableD``. The uniform
-    population, every sequence of the score, is one class whose ordinate
-    counts the mismatches placed: with u placed before step j,
-    comb(n - j - 1, q - u) of the sequences with q mismatches take a match.
+    A homogeneous population has one class per score (each positive score,
+    ascending, when `score` is None); the uniform model's is every sequence
+    of the score. ``steps[j][u]`` is the number of a class's members that,
+    with u mismatches placed before step j, take a match there. Reversal
+    maps the walks of a class onto themselves, so those completions are the
+    class's length-(n-j-1) prefixes with the q - u mismatches left: lane
+    q - u of ``lane_sweep``'s windowed layer at that length. The window
+    matters: a match onto the score with letters left completes nothing.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    if uniform:
-        comp = feasible_composition(scheme, n, score)
-        if comp is None:
-            raise InfeasibleScore(f"no alignments of length {n} and score {score} under {scheme}")
-        q = comp.mismatches
-        steps = [[math.comb(n - j - 1, q - u) for u in range(q + 1)] for j in range(n)]
-        return [(math.comb(n, q), steps)], 0, 1
     scores = positive_scores(scheme, n) if score is None else [score]
-    tables = (CountTableD(scheme, t, n) for t in scores
-              if t >= 1 and feasible_composition(scheme, n, t) is not None)
-    classes = [(table.count(0, n), _match_counts(table, n)) for table in tables
-               if table.count(0, n)]
+    width = n + 1
+    classes = []
+    for t in scores:
+        comp = feasible_composition(scheme, n, t)
+        if comp is None or (model == HOMOGENEOUS and t < 1):
+            continue
+        q = comp.mismatches
+        rows = []
+        for layer, base, low, high in lane_sweep([0], [0], 0, scheme, t, n, model):
+            v = layer[0]
+            row = [0] * (q + 1)
+            for m in range(low, high + 1):
+                row[q - m] = lane(v, m, base, width)
+            rows.append(row)
+        size = lane(v, q, base, width)
+        if size:
+            # rows[k] holds the windowed layer of length k; step j reads length n - j - 1
+            classes.append((size, rows[n - 1::-1]))
     if not classes:
-        raise InfeasibleScore(
-            f"no homogeneous alignment of length {n} has score {score} under {scheme}")
-    return classes, scheme.match_score, -scheme.mismatch_penalty
+        if model == HOMOGENEOUS:
+            raise InfeasibleScore(
+                f"no homogeneous alignment of length {n} has score {score} under {scheme}")
+        raise InfeasibleScore(f"no alignments of length {n} and score {score} under {scheme}")
+    return classes
 
 
 def _unrank(population: _Population, ranks: Iterable[int]) -> Iterator[int]:
     """The bit string of each rank below the population's size.
 
     The classes' rank ranges are concatenated in list order, and a rank's
-    class is picked by subtracting sizes. The walk starts at ordinate 0; at
-    step j it takes the match when the rank is below ``steps[j][y]``, and
+    class is picked by subtracting sizes. With u mismatches placed, the walk
+    takes the match at step j when the rank is below ``steps[j][u]``, and
     otherwise subtracts that count and takes the mismatch.
     """
-    classes, on_match, on_mismatch = population
     for r in ranks:
-        for size, steps in classes:
+        for size, steps in population:
             if r < size:
                 break
             r -= size
         bits = 0
         bit = 1
-        y = 0
+        u = 0
         for after_match in steps:
-            num = after_match[y]
+            num = after_match[u]
             if r < num:
                 bits |= bit
-                y += on_match
             else:
                 r -= num
-                y += on_mismatch
+                u += 1
             bit <<= 1
         yield bits
 
 
 def _draw(indices: Iterable[int], scheme: ScoringScheme, n: int, score: int | None, seed: int,
-          uniform: bool = False) -> list[int]:
+          model: str = HOMOGENEOUS) -> list[int]:
     """The bit strings of samples `indices` of the stream seeded `seed`.
 
     Every sampler draws through here: a worker builds its own population and
     unranks the ``_ranks`` of its indices.
     """
-    population = _population(scheme, n, score, uniform)
-    bound = sum(size for size, _ in population[0])
+    population = _population(scheme, n, score, model)
+    bound = sum(size for size, _ in population)
     return list(_unrank(population, _ranks(seed, indices, bound)))
 
 

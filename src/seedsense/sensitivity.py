@@ -6,28 +6,19 @@ Two alignment models share one dynamic program:
   score S (walks confined to the open band (0, S) until the final step);
 * ``all``: uniform over every binary sequence of length n and score S.
 
-The program sweeps the prefixes left to right over integer counts. A
-prefix of length i with q mismatches scores i*s - q*(s+p), so at each length
-the mismatch count fixes the score, and a layer holds one Python int per
-scanner state whose fixed-width lanes count that state's prefixes by
-mismatch count (Kronecker substitution: Schönhage 1982; Harvey 2009). A
-match adds a state's int to its successor's unchanged, a mismatch adds it
-shifted up one lane, so one big-int add moves every prefix score of a state
-at once. After each step the sweep keeps only the lanes whose score can
-still end on S by the longest requested length. That window is the only
-difference between the models: the homogeneous one also clamps it to the
-open band (0, S). Before the window is applied, the lane of score S gives
-both sides of the answer at each requested length: summed over all states
-it is the population, in the accept state the hits, and one division gives
-the exact rational probability. The scanner is a deterministic automaton
-over {0, 1} whose state is the set of seed windows still alive, as a
-bitmask, plus the occurrences still needed: the Shift-And state of
-Baeza-Yates & Gonnet ("A new approach to text searching", CACM 1992). Each
-live set is a function of the recent letters that can still complete a
-match, so the automaton is a quotient of the one that remembers those
-letters and is never larger than it. For the weight-11, span-18 seed
-110100110010101111 it has 283 states, against 756 for the suffix automaton
-and 243 for the minimal one.
+The program is ``counting.lane_sweep`` run over the states of a scanner
+automaton, the same sweep that counts populations and builds the samplers.
+Before the window of each requested length, the lane of score S gives both
+sides of the answer: summed over all states it is the population, in the
+accept state the hits, and one division gives the exact rational
+probability. The scanner is a deterministic automaton over {0, 1} whose
+state is the set of seed windows still alive, as a bitmask, plus the
+occurrences still needed: the Shift-And state of Baeza-Yates & Gonnet ("A
+new approach to text searching", CACM 1992). Each live set is a function of
+the recent letters that can still complete a match, so the automaton is a
+quotient of the one that remembers those letters and is never larger than
+it. For the weight-11, span-18 seed 110100110010101111 it has 283 states,
+against 756 for the suffix automaton and 243 for the minimal one.
 """
 
 from __future__ import annotations
@@ -37,12 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
-from .counting import InfeasibleScore
+from .counting import HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, lane, lane_sweep
 from .sampling import RandomStream, _draw
-
-HOMOGENEOUS = "homogeneous"
-UNIFORM = "all"
-MODELS = (HOMOGENEOUS, UNIFORM)
 _MC_CHUNK = 1 << 16  # samples drawn per call of the sampler in mc_estimate
 
 
@@ -160,51 +147,20 @@ def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
              lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
     """(hits, population) per requested length, both read from one sweep."""
     s, p = scheme.match_score, scheme.mismatch_penalty
-    per_mismatch = s + p
     horizon = max(lengths)
-    step0, step1, accept = automaton.step0, automaton.step1, automaton.accept
+    width = horizon + 1
+    accept = automaton.accept
     wanted = set(lengths)
     out: dict[int, tuple[int, int]] = {}
-    # lane j of a state's int counts its prefixes with base + j mismatches; summed
-    # over all states a lane holds at most C(i, base + j) <= 2**horizon prefixes, so
-    # width bits never carry into the next lane
-    width = horizon + 1
-    lane = (1 << width) - 1
-    layer = [0] * automaton.size
-    layer[automaton.start] = 1
-    base, shift, keep = 0, 0, -1
-    for i in range(1, horizon + 1):
-        nxt = [0] * automaton.size
-        for to0, to1, v in zip(step0, step1, layer):
-            if v:
-                # the previous step's window, applied as the layer is read
-                v = (v >> shift) & keep
-                if v:
-                    nxt[to1] += v
-                    nxt[to0] += v << width
+    sweep = lane_sweep(automaton.step0, automaton.step1, automaton.start, scheme, score,
+                       horizon, model)
+    for i, (layer, base, _, _) in enumerate(sweep):
         if i in wanted:
             # read before the window, which excludes the score itself when homogeneous;
-            # no lane below base holds a prefix, and lanes above i read as 0
-            q, rem = divmod(i * s - score, per_mismatch)
-            if rem or q < base:
-                out[i] = (0, 0)
-            else:
-                at = (q - base) * width
-                out[i] = ((nxt[accept] >> at) & lane, (sum(nxt) >> at) & lane)
-        # keep the prefix scores that can still end on the score by the horizon
-        remaining = horizon - i
-        lo, hi = score - remaining * s, score + remaining * p
-        if model == HOMOGENEOUS:
-            # a homogeneous prefix stays inside the open band (0, score)
-            lo, hi = max(lo, 1), min(hi, score - 1)
-        # the same window in mismatch counts, ceil((i*s - hi) / (s+p)) through
-        # floor((i*s - lo) / (s+p)); lane qlo becomes the new base
-        qlo = max(base, -((hi - i * s) // per_mismatch))
-        qhi = min(i, (i * s - lo) // per_mismatch)
-        shift = (qlo - base) * width
-        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
-        base = qlo
-        layer = nxt
+            # lanes above i read as 0
+            q, rem = divmod(i * s - score, s + p)
+            out[i] = (0, 0) if rem else (lane(layer[accept], q, base, width),
+                                         lane(sum(layer), q, base, width))
     return out
 
 
@@ -271,6 +227,6 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     # in chunks, so memory does not grow with the sample count
     for start in range(0, samples, _MC_CHUNK):
         draws = _draw(range(start, min(start + _MC_CHUNK, samples)), query.scheme, n,
-                      query.score, stream.seed, query.model == UNIFORM)
+                      query.score, stream.seed, query.model)
         hits += sum(_bits_detected(bits, n, mask, span, needed, min_gap) for bits in draws)
     return McEstimate(query, samples, hits)

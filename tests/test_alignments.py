@@ -7,15 +7,12 @@ from seedsense.alignments import (
     DetectionStrategy,
     ScoringScheme,
     Seed,
-    Walk,
     enumerate_homogeneous,
-    from_walk,
     is_homogeneous,
     is_homogeneous_segments,
     score,
     seed_detects,
     strategy_detects,
-    to_walk,
 )
 
 from oracles import match_ends, subset_detects
@@ -56,7 +53,7 @@ class TestAlignment:
         for n in range(1, 71):
             for bits in (0, (1 << n) - 1, 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(5))):
                 a = Alignment(n, bits)
-                assert str(a) == "".join("1" if letter else "0" for letter in a.letters())
+                assert str(a) == "".join(str((bits >> i) & 1) for i in range(n))
                 assert Alignment.from_string(str(a)) == a
 
     def test_rejects_bad_strings(self):
@@ -70,9 +67,6 @@ class TestAlignment:
         with pytest.raises(ValueError):
             Alignment(2, 4)
 
-    def test_letters(self):
-        assert A("101").letters() == (1, 0, 1)
-
 
 class TestScore:
     @pytest.mark.parametrize("text,scheme,expected", [
@@ -83,30 +77,6 @@ class TestScore:
     ])
     def test_examples(self, text, scheme, expected):
         assert score(A(text), scheme) == expected
-
-
-class TestWalks:
-    def test_to_walk_examples(self):
-        assert to_walk(A("11"), S13).points == ((0, 0), (1, 1), (2, 2))
-        assert to_walk(A("10"), S13).points == ((0, 0), (1, 1), (2, -2))
-
-    def test_roundtrip_example(self):
-        a = A("1101001")
-        assert from_walk(to_walk(a, S13), S13) == a
-
-    def test_roundtrip_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            n = rng.randint(1, 64)
-            a = Alignment(n, rng.getrandbits(n))
-            scheme = rng.choice((S11, S13, S23))
-            assert from_walk(to_walk(a, scheme), scheme) == a
-
-    def test_from_walk_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            from_walk(Walk(((0, 0), (1, 2))), S13)
-        with pytest.raises(ValueError):
-            from_walk(Walk(((0, 1), (1, 2))), S13)
 
 
 class TestHomogeneity:

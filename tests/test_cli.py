@@ -216,8 +216,9 @@ class TestMc:
 
 
 class TestPinnedOutput:
-    """The sha256 of stdout, recorded when each sample was still built as an
-    Alignment and each CSV row as a dict; the bytes must not change."""
+    """The sha256 of stdout, each recorded before a change to how samples are
+    drawn or rows rendered (the JSON case when each row was still a dict passed
+    to json.dumps); the bytes must not change."""
 
     @pytest.mark.parametrize("argv, digest", [
         pytest.param("generate --length 40 --score 12 --samples 2000 --rng-seed 7 --format csv",
@@ -230,6 +231,10 @@ class TestPinnedOutput:
                      "--rng-seed 3 --threads 2",
                      "8c1a8d6120f8009771689213ef95fca9107c464aa223be157429421ee8f7c586",
                      id="generate-fixed-text-2-workers"),
+        pytest.param("generate --length 40 --score 12 --samples 1000 --rng-seed 11 --threads 2 "
+                     "--format json",
+                     "77a8fe0faa4a3cf10d7f986cfe6dbfc37069543d2535e260315d9ff298863386",
+                     id="generate-fixed-json-2-workers"),
         pytest.param("mc --seed 1010110111010001 --length 40 --score 12 --model all "
                      "--samples 5000 --rng-seed 4 --format csv",
                      "4bf9d65f47a09f2b15422f059ecc60a6eae775c8a67881082cac2aaeb4035650",
@@ -335,11 +340,13 @@ class TestOutputFile:
 
         monkeypatch.setattr(cli_mod, "count_homogeneous", no_work)
         target = tmp_path / "missing" / "out.txt"
-        code, out, err = invoke(capsys, "count", "--length", "5", "--output", str(target))
-        assert code == 2
-        assert out == ""
-        assert "Error:" in err and "does not exist" in err
-        assert "Traceback" not in err
+        # an empty path names no file either (it used to fall through to stdout)
+        for path, reason in ((str(target), "does not exist"), ("", "empty")):
+            code, out, err = invoke(capsys, "count", "--length", "5", "--output", path)
+            assert code == 2
+            assert out == ""
+            assert "Error:" in err and reason in err
+            assert "Traceback" not in err
         assert not target.parent.exists()
 
 
@@ -349,4 +356,4 @@ class TestSelfcheckCommand:
         assert code == 0
         lines = out.splitlines()
         assert all(line.startswith(("PASS", "#")) for line in lines)
-        assert lines[-1].startswith("# 9/9")
+        assert lines[-1].startswith("# 8/8")

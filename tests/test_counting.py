@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous
 from seedsense.counting import (
@@ -11,7 +12,7 @@ from seedsense.counting import (
     feasible_composition,
 )
 
-from oracles import suffix_walk_count
+from oracles import fixed_score_population, suffix_walk_count, walk_homogeneous
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -152,3 +153,32 @@ class TestFlipIdentity:
                         layer = nxt
                         for y, c in layer.items():
                             assert c == table.count(target - y, k)
+
+
+schemes = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda sp: ScoringScheme(*sp))
+lengths = st.integers(1, 14)
+properties = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestCountProperties:
+    """Random schemes (s, p) in [1, 5]^2 and lengths up to 14: the lane sweep's
+    counts equal a literal scan of every sequence."""
+
+    @properties
+    @given(scheme=schemes, n=lengths, data=st.data())
+    def test_fixed_score(self, scheme, n, data):
+        s, p = scheme.match_score, scheme.mismatch_penalty
+        q = data.draw(st.integers(0, n), label="mismatches")
+        total = (n - q) * s - q * p
+        expected = sum(walk_homogeneous(bits, n, s, p, total)
+                       for bits in fixed_score_population(n, s, p, total))
+        assert count_homogeneous(scheme, n, total) == expected
+
+    @properties
+    @given(scheme=schemes, n=lengths)
+    def test_free_score(self, scheme, n):
+        s, p = scheme.match_score, scheme.mismatch_penalty
+        expected = sum(
+            walk_homogeneous(bits, n, s, p, bits.bit_count() * s - (n - bits.bit_count()) * p)
+            for bits in range(1 << n))
+        assert count_homogeneous(scheme, n) == expected

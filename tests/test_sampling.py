@@ -13,7 +13,7 @@ from seedsense.alignments import (
     is_homogeneous,
     score,
 )
-from seedsense.counting import InfeasibleScore
+from seedsense.counting import UNIFORM, InfeasibleScore
 from seedsense.sampling import (
     RandomStream,
     _GOLDEN,
@@ -131,21 +131,21 @@ class TestUnranking:
     def test_fixed_score_bijection(self):
         population = _population(S13, 20, 8)
         members = sorted(a.bits for a in enumerate_homogeneous(S13, 20, 8))
-        assert population[0][0][0] == len(members)
+        assert population[0][0] == len(members)
         assert sorted(_unrank(population, range(len(members)))) == members
 
     def test_free_score_bijection(self):
         population = _population(S11, 12, None)
         members = sorted(a.bits for a in enumerate_homogeneous(S11, 12))
         assert len(members) == 91
-        assert sum(size for size, _ in population[0]) == 91
+        assert sum(size for size, _ in population) == 91
         assert sorted(_unrank(population, range(91))) == members
 
     def test_uniform_model_bijection(self):
         # scheme (1, 1), length 10, score 4: 7 matches and 3 mismatches
-        population = _population(S11, 10, 4, uniform=True)
+        population = _population(S11, 10, 4, UNIFORM)
         members = [bits for bits in range(1 << 10) if bits.bit_count() == 7]
-        assert population[0][0][0] == len(members) == math.comb(10, 3)
+        assert population[0][0] == len(members) == math.comb(10, 3)
         assert sorted(_unrank(population, range(len(members)))) == members
 
 
@@ -176,7 +176,7 @@ class TestUnrankingProperties:
     def test_free_score(self, scheme, n):
         members = sorted(a.bits for a in enumerate_homogeneous(scheme, n))
         population = _population(scheme, n, None)
-        size = sum(size for size, _ in population[0])
+        size = sum(size for size, _ in population)
         assert size == len(members)
         assert sorted(_unrank(population, range(size))) == members
 
@@ -186,8 +186,8 @@ class TestUnrankingProperties:
         q = data.draw(st.integers(0, n), label="mismatches")
         total = (n - q) * scheme.match_score - q * scheme.mismatch_penalty
         members = [bits for bits in range(1 << n) if bits.bit_count() == n - q]
-        population = _population(scheme, n, total, uniform=True)
-        assert population[0][0][0] == len(members)
+        population = _population(scheme, n, total, UNIFORM)
+        assert population[0][0] == len(members)
         assert sorted(_unrank(population, range(len(members)))) == members
 
 

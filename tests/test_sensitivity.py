@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import seedsense.sensitivity as sensitivity_mod
 from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
@@ -419,3 +420,29 @@ class TestMonteCarlo:
             mc_estimate(query("11", S13, 5, 2, UNIFORM), 10, RandomStream(0))
         with pytest.raises(ValueError):
             mc_estimate(query("11", S11, 5, 3), 0, RandomStream(0))
+
+
+class TestProfileProperties:
+    """Random schemes (s, p) in [1, 5]^2, seeds of span <= 8, up to 3
+    occurrences with any overlap, and lengths up to 14: each length's
+    (hits, population) from one sweep equals full enumeration."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(s=st.integers(1, 5), p=st.integers(1, 5),
+           interior=st.lists(st.sampled_from("01"), max_size=6), single=st.booleans(),
+           occurrences=st.integers(1, 3), data=st.data())
+    def test_profile_equals_enumeration(self, s, p, interior, single, occurrences, data):
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        overlap = data.draw(st.integers(0, len(pattern) - 1), label="overlap")
+        lengths = data.draw(st.lists(st.integers(1, 14), min_size=1, max_size=4, unique=True),
+                            label="lengths")
+        horizon = max(lengths)
+        q = data.draw(st.integers(0, horizon), label="mismatches at the longest length")
+        total = (horizon - q) * s - q * p
+        auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+        oracle = {n: hit_fractions(n, s, p, total, pattern, occurrences, overlap)
+                  for n in lengths}
+        # a homogeneous score is positive (SensitivityQuery rejects any other)
+        for model, side in ((HOMOGENEOUS, 0), (UNIFORM, 1))[total < 1:]:
+            assert _profile(auto, ScoringScheme(s, p), total, lengths, model) == \
+                {n: oracle[n][side] for n in lengths}

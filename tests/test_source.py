@@ -24,3 +24,16 @@ def test_one_process_pool():
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if "ProcessPoolExecutor" in path.read_text())
     assert users == ["_pool.py"], f"modules that open a process pool: {users}"
+
+
+def test_one_count_recurrence():
+    # every walk count comes from one sweep: the backward table is only the
+    # reference selfcheck compares against and curve's emptiness filter, and
+    # binomials count only the uniform model's population and, in search.py,
+    # the candidate seeds
+    table_users = sorted(path.name for path in PACKAGE.glob("*.py")
+                         if "CountTableD" in path.read_text())
+    assert set(table_users) <= {"counting.py", "cli.py", "selfcheck.py"}, table_users
+    comb_users = sorted(path.name for path in PACKAGE.glob("*.py")
+                        if "math.comb" in path.read_text())
+    assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
