@@ -167,18 +167,33 @@ def seed_detects(seed: Seed, alignment: Alignment) -> bool:
     return False
 
 
-def _bits_detected(bits: int, length: int, mask: int, span: int, needed: int, min_gap: int) -> bool:
-    # greedy earliest-admissible-end selection, optimal for a minimum-gap constraint
-    picked = 0
-    last = None
-    for i in range(length - span + 1):
-        if (bits >> i) & mask == mask:
-            end = i + span
-            if last is None or end - last >= min_gap:
-                picked += 1
-                if picked >= needed:
-                    return True
-                last = end
+def _window_starts(bits: int, mask: int, starts: int) -> int:
+    """The bits of `starts` at which a window of `bits` matches every required position.
+
+    Bit i survives iff ``bits >> i`` has every bit of `mask`: the AND of
+    ``bits >> p`` over the required positions p. It works on any int, so
+    `bits` may hold many alignments in lanes, with `starts` marking the
+    window starts that lie inside each lane.
+    """
+    while mask:
+        p = (mask & -mask).bit_length() - 1
+        starts &= bits >> p
+        mask &= mask - 1
+    return starts
+
+
+def _admissible(starts: int, needed: int, min_gap: int) -> bool:
+    """True iff `needed` of the window starts in `starts` lie at least min_gap apart.
+
+    Greedy earliest-admissible selection, optimal for a minimum-gap
+    constraint; the gap between two starts equals the gap between their ends.
+    """
+    while starts:
+        needed -= 1
+        if not needed:
+            return True
+        first = starts & -starts
+        starts &= -(first << min_gap)  # drop the starts less than min_gap after it
     return False
 
 
@@ -186,11 +201,9 @@ def strategy_detects(strategy: DetectionStrategy, alignment: Alignment) -> bool:
     """True iff there are required_occurrences seed matches with consecutive
     end positions at least span - max_overlap apart."""
     seed = strategy.seed
-    return _bits_detected(
-        alignment.bits,
-        alignment.length,
-        seed.required_mask,
-        seed.span,
+    starts = (1 << max(alignment.length - seed.span + 1, 0)) - 1
+    return _admissible(
+        _window_starts(alignment.bits, seed.required_mask, starts),
         strategy.required_occurrences,
         seed.span - strategy.max_overlap,
     )

@@ -19,10 +19,15 @@ band of its class's score.
 The rank of sample i is counter-based (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3"): ``_ranks`` reads its 64-bit words from the
 SplitMix64 sequence started at the child seed ``stream.spawn(i).seed``, and
-rejects a try that is not below the bound. A ``RandomStream`` is only that
-validated seed; nothing draws from it directly. Output therefore depends
-only on (seed, sample index) and is identical no matter how samples are
-split across workers, each of which builds its own population.
+rejects a try that is not below the bound. SplitMix64 is lane-wise 64-bit
+arithmetic, so ``_ranks`` computes the ranks of up to ``_BATCH`` indices at
+a time, each index in its own 128-bit lane of one int (a 64-bit by 64-bit
+product fits in a lane), and packs the lanes that reject into a smaller int
+for their next try; every rank is the value the per-index definition gives.
+A ``RandomStream`` is only that validated seed; nothing draws from it
+directly. Output therefore depends only on (seed, sample index) and is
+identical no matter how samples are split across workers, each of which
+builds its own population.
 
 A sample stays an int bit string through the draw and the workers;
 ``sample_fixed`` and ``sample_free`` return each one as its 0/1 text, the
@@ -31,7 +36,10 @@ A sample stays an int bit string through the draw and the workers;
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import sys
+from array import array
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from ._pool import map_strided
 from .alignments import ScoringScheme
@@ -46,6 +54,8 @@ from .counting import (
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_BATCH = 4096  # sample indices whose ranks share one int in _ranks
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _splitmix64(x: int) -> int:
@@ -55,9 +65,36 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix(x: int, low: int) -> int:
+    # _splitmix64 on every 128-bit lane of x, each holding a value below 2**64:
+    # `& low`, the low 64 bits of every lane, drops what a shift pulls in from the
+    # next lane and reduces a product mod 2**64; kept apart from _splitmix64, which
+    # the tests use as the reference
+    x = (x ^ x >> 30 & low) * 0xBF58476D1CE4E5B9 & low
+    x = (x ^ x >> 27 & low) * 0x94D049BB133111EB & low
+    return x ^ x >> 31 & low
+
+
 def _child_seed(seed: int, index: int) -> int:
     # the (index+1)-th output of the SplitMix64 sequence started at seed
     return _splitmix64((seed + (index + 1) * _GOLDEN) & _MASK64)
+
+
+def _lanes(values: array) -> int:
+    """One int whose 128-bit lane j holds values[j]."""
+    words = array("Q", bytes(16 * len(values)))
+    words[::2] = values
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words, "little")
+
+
+def _unlanes(x: int, count: int) -> array:
+    """The values in the first `count` 128-bit lanes of x, each below 2**64."""
+    words = array("Q", x.to_bytes(16 * count, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]
 
 
 class RandomStream:
@@ -87,30 +124,61 @@ def _ranks(seed: int, indices: Iterable[int], bound: int) -> Iterator[int]:
     child seed keeps the words of neighbouring indices apart; stepping
     ``seed + (i+1)*GOLDEN`` directly would make a sample's retry word the
     next sample's first word. A k-bit bound takes ceil(k/64) words per try,
-    and a try that is not below the bound is rejected. Both finalizers
-    (``_child_seed`` and each word's ``_splitmix64``) are inlined.
+    and a try that is not below the bound is rejected. The indices are taken
+    ``_BATCH`` at a time and their ranks computed together by ``_batch_ranks``.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     k = (bound - 1).bit_length()
     words = -(-k // 64)
-    drop = 64 * words - k
-    for i in indices:
-        x = (seed + (i + 1) * _GOLDEN) & _MASK64
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-        state = x ^ (x >> 31)
-        while True:
-            r = 0
+    indices = iter(indices)
+    if not words:
+        for _ in indices:
+            yield 0
+        return
+    while batch := array("Q", islice(indices, _BATCH)):
+        yield from _batch_ranks(seed, batch, bound, words, 64 * words - k)
+
+
+def _batch_ranks(seed: int, batch: array, bound: int, words: int,
+                 drop: int) -> Sequence[int]:
+    """The ranks of the indices in `batch`, index j computed in 128-bit lane j of one int.
+
+    Each SplitMix64 step is a few whole-int operations over all lanes. The
+    lanes whose try is rejected are packed again, with the state each has
+    reached, and draw their next try together.
+    """
+    lanes = len(batch)
+    ones = _lanes(array("Q", [1]) * lanes)
+    low = ones * _MASK64
+    # lane j: the child seed of batch[j]; (i + 1) * GOLDEN + seed stays below 2**128
+    state = _mix((_lanes(batch) + ones) * _GOLDEN + seed * ones & low, low)
+    ranks = None
+    todo = range(lanes)  # the position in ranks of each lane
+    while True:
+        if words == 1:
+            state = state + _GOLDEN * ones & low
+            r = _unlanes(_mix(state, low) >> drop & low, lanes)
+        else:  # the words of a try joined lane by lane, most significant first
+            r = [0] * lanes
             for _ in range(words):
-                state = (state + _GOLDEN) & _MASK64
-                x = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-                x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
-                r = r << 64 | (x ^ (x >> 31))
-            r >>= drop
-            if r < bound:
-                yield r
-                break
+                state = state + _GOLDEN * ones & low
+                r = [high << 64 | w for high, w in zip(r, _unlanes(_mix(state, low), lanes))]
+            r = [x >> drop for x in r]
+        if ranks is None:
+            ranks = r
+        else:
+            for pos, x in zip(todo, r):
+                ranks[pos] = x
+        rejected = [j for j, x in enumerate(r) if x >= bound]
+        if not rejected:
+            return ranks
+        states = _unlanes(state, lanes)
+        state = _lanes(array("Q", [states[j] for j in rejected]))
+        todo = [todo[j] for j in rejected]
+        lanes = len(rejected)
+        ones = _lanes(array("Q", [1]) * lanes)
+        low = ones * _MASK64
 
 
 _Population = list[tuple[int, list[list[int]]]]

@@ -26,11 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
-from .alignments import DetectionStrategy, ScoringScheme, _bits_detected
+from .alignments import DetectionStrategy, ScoringScheme, _admissible, _window_starts
 from .counting import HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, lane, lane_sweep
 from .sampling import RandomStream, _draw
+
 _MC_CHUNK = 1 << 16  # samples drawn per call of the sampler in mc_estimate
+_MC_SCAN = 1 << 12  # samples packed into one int by _hits: their bytes are held at once
 
 
 @dataclass(frozen=True)
@@ -213,20 +216,50 @@ class McEstimate:
         return math.sqrt(f * (1.0 - f) / self.samples)
 
 
+def _hits(draws: list[int], n: int, strategy: DetectionStrategy) -> int:
+    """How many of the length-n alignments `draws` the strategy detects, scanned together.
+
+    Each alignment sits in its own byte-aligned lane of one int, with a spare
+    top bit, and ``_window_starts`` on that int marks the matching window
+    starts of every lane at once. For one occurrence, an alignment is hit
+    when its lane holds any start, and the lanes are counted at once by
+    subtracting 1 from each under its top bit. For more occurrences, the
+    greedy of ``strategy_detects`` runs on each alignment's own starts.
+    """
+    seed = strategy.seed
+    width = n // 8 + 1  # bytes per lane: n letters and the spare top bit
+    lanes = b"".join(map(int.to_bytes, draws, repeat(width), repeat("little")))
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(draws), "little")
+    found = _window_starts(int.from_bytes(lanes, "little"), seed.required_mask,
+                           ones * ((1 << max(n - seed.span + 1, 0)) - 1))
+    if strategy.required_occurrences == 1:
+        top = ones << 8 * width - 1
+        return ((found | top) - ones & top).bit_count()
+    starts = found.to_bytes(len(lanes), "little")
+    min_gap = seed.span - strategy.max_overlap
+    return sum(_admissible(int.from_bytes(starts[j:j + width], "little"),
+                           strategy.required_occurrences, min_gap)
+               for j in range(0, len(starts), width))
+
+
 def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:
-    """Monte-Carlo hit-rate estimate with binomial standard error."""
+    """Monte-Carlo hit-rate estimate with binomial standard error.
+
+    Sample i is the one ``generate`` draws as sample i of the same stream;
+    the sampler computes the ranks of a batch of samples at a time in
+    128-bit lanes of one int. Detection is bit-parallel too: ``_hits`` scans
+    up to ``_MC_SCAN`` samples at once, each in its own lane of one int.
+    Every rank, sample and hit count is the one the sample-by-sample
+    definition gives.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    seed = query.strategy.seed
-    mask = seed.required_mask
-    span = seed.span
-    needed = query.strategy.required_occurrences
-    min_gap = span - query.strategy.max_overlap
     n = query.length
     hits = 0
     # in chunks, so memory does not grow with the sample count
     for start in range(0, samples, _MC_CHUNK):
         draws = _draw(range(start, min(start + _MC_CHUNK, samples)), query.scheme, n,
                       query.score, stream.seed, query.model)
-        hits += sum(_bits_detected(bits, n, mask, span, needed, min_gap) for bits in draws)
+        hits += sum(_hits(draws[j:j + _MC_SCAN], n, query.strategy)
+                    for j in range(0, len(draws), _MC_SCAN))
     return McEstimate(query, samples, hits)

@@ -1,8 +1,15 @@
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import settings
 
 import seedsense._pool as pool_mod
+
+# Property tests that set no example count take it from the loaded profile: "tier1"
+# unless pytest is run with --hypothesis-profile=ci, which draws more examples.
+settings.register_profile("tier1", max_examples=60, deadline=None, derandomize=True)
+settings.register_profile("ci", max_examples=300, deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

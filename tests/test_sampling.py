@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+import seedsense.sampling as sampling_mod
 from seedsense.alignments import (
     Alignment,
     ScoringScheme,
@@ -78,6 +79,10 @@ class TestRandomStream:
             base.spawn(-1)
 
 
+# the example count comes from the hypothesis profile (see conftest.py)
+properties = settings(deadline=None, derandomize=True)
+
+
 # bound, and whether it rejects about half the tries
 RANK_BOUNDS = [
     pytest.param(1, False, id="1"),
@@ -116,6 +121,25 @@ class TestRank:
         assert list(_ranks(99, range(8), 1 << 64)) == \
             [_splitmix64((child + _GOLDEN) & MASK64) for child in children]
 
+    @properties
+    @pytest.mark.parametrize("batch", [1, 3, 7])
+    @given(seed=st.integers(0, MASK64),
+           bound=st.one_of(
+               # (bound - 1).bit_length() == bits, from 0 to 200
+               st.integers(0, 200).flatmap(lambda bits: st.integers((1 << bits >> 1) + 1,
+                                                                    1 << bits)),
+               st.sampled_from([MASK64, 1 << 64, (1 << 64) + 1])),
+           indices=st.one_of(
+               st.lists(st.integers(0, MASK64), max_size=20),
+               st.builds(range, st.integers(0, 40), st.integers(0, 80), st.integers(1, 5))))
+    def test_batched_equals_per_index_definition(self, batch, seed, bound, indices):
+        # small batches split the indices mid-sequence, and the rejected lanes of a
+        # batch retry as a smaller one
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling_mod, "_BATCH", batch)
+            assert list(_ranks(seed, indices, bound)) == \
+                [rank_by_definition(seed, i, bound)[0] for i in indices]
+
     def test_neighbouring_indices_do_not_share_words(self):
         # bound 2**20 + 1 rejects about half the tries; a retry word that is the
         # next index's first word would make about a quarter of neighbours equal
@@ -151,7 +175,6 @@ class TestUnranking:
 
 schemes = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda sp: ScoringScheme(*sp))
 lengths = st.integers(1, 12)
-properties = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 class TestUnrankingProperties:

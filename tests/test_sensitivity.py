@@ -5,10 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seedsense.sampling as sampling_mod
 import seedsense.sensitivity as sensitivity_mod
 from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
 from seedsense.counting import InfeasibleScore, count_homogeneous
-from seedsense.sampling import RandomStream, sample_fixed
+from seedsense.sampling import RandomStream, _draw, sample_fixed
 from seedsense.sensitivity import (
     HOMOGENEOUS,
     UNIFORM,
@@ -368,13 +369,21 @@ class TestHitAutomaton:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("chunk", [pytest.param(None, id="one-chunk"),
-                                       pytest.param(7, id="chunks-of-7")])
-    def test_shares_draws_with_generate(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("chunk, batch, scan", [
+        pytest.param(None, None, None, id="one-chunk"),
+        pytest.param(7, None, None, id="chunks-of-7"),
+        # rank batches of 3 cut each chunk of 7 after 3 and 6 samples, scans of 2
+        # after 2, 4 and 6
+        pytest.param(7, 3, 2, id="chunks-of-7-batches-of-3"),
+    ])
+    def test_shares_draws_with_generate(self, chunk, batch, scan, monkeypatch):
         # mc and generate draw sample i of a stream from one population and rank,
         # so every prefix of a generate run holds exactly the hits of mc
-        if chunk:
-            monkeypatch.setattr(sensitivity_mod, "_MC_CHUNK", chunk)
+        for module, name, value in ((sensitivity_mod, "_MC_CHUNK", chunk),
+                                    (sampling_mod, "_BATCH", batch),
+                                    (sensitivity_mod, "_MC_SCAN", scan)):
+            if value:
+                monkeypatch.setattr(module, name, value)
         for pattern, occurrences, n, total, rng_seed in (("1111111", 1, 24, 8, 12),
                                                          ("11111", 2, 24, 8, 3),
                                                          ("1110010110111", 1, 40, 12, 5)):
@@ -387,10 +396,54 @@ class TestMonteCarlo:
                 assert mc_estimate(q, samples, RandomStream(rng_seed)).hits == \
                     sum(detected[:samples])
 
+    @settings(deadline=None, derandomize=True)
+    @given(s=st.integers(1, 3), p=st.integers(1, 3),
+           interior=st.lists(st.sampled_from("01"), max_size=10), single=st.booleans(),
+           occurrences=st.integers(1, 3), model=st.sampled_from([HOMOGENEOUS, UNIFORM]),
+           samples=st.integers(1, 150), rng_seed=st.integers(0, (1 << 64) - 1),
+           scan=st.integers(1, 64), data=st.data())
+    def test_hits_equal_subset_oracle(self, s, p, interior, single, occurrences, model,
+                                      samples, rng_seed, scan, data):
+        # the lane-packed scan, `scan` samples to an int, against literal subset
+        # checks of the same draws, for seeds of span <= 12 and lengths below, at
+        # and above the span
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        span = len(pattern)
+        overlap = data.draw(st.integers(0, span - 1), label="overlap")
+        n = data.draw(st.one_of(st.integers(1, span), st.integers(1, 80)), label="length")
+        # a homogeneous score is positive
+        q = data.draw(st.integers(0, (n * s - 1) // (s + p) if model == HOMOGENEOUS else n),
+                      label="mismatches")
+        total = (n - q) * s - q * p
+        scheme = ScoringScheme(s, p)
+        query_ = SensitivityQuery(strategy(pattern, occurrences, overlap), scheme, n, total,
+                                  model)
+        try:
+            if model == HOMOGENEOUS:
+                draws = [Alignment.from_string(text).bits for text in
+                         sample_fixed(scheme, n, total, samples, RandomStream(rng_seed))]
+            else:
+                draws = _draw(range(samples), scheme, n, total, rng_seed, model)
+        except InfeasibleScore:
+            with pytest.raises(InfeasibleScore):
+                mc_estimate(query_, samples, RandomStream(rng_seed))
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sensitivity_mod, "_MC_SCAN", scan)
+            hits = mc_estimate(query_, samples, RandomStream(rng_seed)).hits
+        assert hits == sum(subset_detects(bits, n, pattern, occurrences, overlap)
+                           for bits in draws)
+
     def test_certain_seed(self):
         result = mc_estimate(query("1", S13, 9, 5), 500, RandomStream(0))
         assert result.estimate == 1.0
         assert result.stderr == 0.0
+
+    def test_last_letter_of_a_full_lane(self):
+        # every length-8 string with one match is hit by seed "1", also with its
+        # match in the last letter, bit 7 of a lane whose spare top bit is bit 15
+        result = mc_estimate(query("1", S11, 8, -6, UNIFORM), 200, RandomStream(1))
+        assert result.hits == 200
 
     def test_impossible_seed(self):
         result = mc_estimate(query("111", S11, 5, 3), 200, RandomStream(0))
@@ -427,7 +480,7 @@ class TestProfileProperties:
     occurrences with any overlap, and lengths up to 14: each length's
     (hits, population) from one sweep equals full enumeration."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(deadline=None, derandomize=True)
     @given(s=st.integers(1, 5), p=st.integers(1, 5),
            interior=st.lists(st.sampled_from("01"), max_size=6), single=st.booleans(),
            occurrences=st.integers(1, 3), data=st.data())
