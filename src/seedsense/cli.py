@@ -172,8 +172,8 @@ def count(length: int, score: int | None, model: str, match: int, mismatch: int,
 @click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
               show_default=True, help="64-bit seed for the sample streams.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes, at most one per CPU; output is identical for "
-                   "any value (default: one per core for large sample counts).")
+              help="Worker processes, at most one per usable CPU; output is identical "
+                   "for any value (default: one per usable CPU for large sample counts).")
 @_scheme_options
 @_output_options
 def generate(length: int, score: int | None, samples: int, rng_seed: int, threads: int | None,
@@ -183,7 +183,7 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
     stream = RandomStream(rng_seed)
     if threads is None:
         # worker processes only pay off for big batches; output never changes,
-        # and the pool starts at most one worker per CPU
+        # and the pool starts at most one worker per usable CPU
         threads = samples if samples >= 50_000 else 1
     workers = threads
     if score is None:
@@ -300,7 +300,8 @@ def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
               help="Ranked seeds to keep.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes, at most one per CPU (default: available cores).")
+              help="Worker processes, at most one per usable CPU (default: one per "
+                   "usable CPU).")
 @_scheme_options
 @_output_options
 @_precision_option

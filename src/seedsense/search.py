@@ -103,8 +103,8 @@ def _evaluate_patterns(patterns: list[str], match: int, mismatch: int, length: i
 def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     """Rank every candidate seed by exact hit probability under the spec's model.
 
-    Candidates are spread over `threads` worker processes, at most one per CPU
-    (default: one per CPU); the ranking is the same for any count.
+    Candidates are spread over `threads` worker processes, at most one per
+    usable CPU (default: one per usable CPU); the ranking is the same for any count.
     """
     started = time.perf_counter()
     # an empty population fails every candidate alike, so it fails before any worker starts
@@ -114,7 +114,7 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
             f"no alignments of length {spec.length} and score {spec.score} under {spec.scheme}")
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
-    # no thread count: as many workers as there are candidates, capped at the CPU count
+    # no thread count: as many workers as there are candidates, capped at the usable CPUs
     workers = len(representatives) if threads is None else threads
     results = map_strided(_evaluate_patterns, representatives, workers,
                           spec.scheme.match_score, spec.scheme.mismatch_penalty,

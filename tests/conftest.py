@@ -1,3 +1,4 @@
+import os
 from concurrent.futures import Future
 
 import pytest
@@ -10,6 +11,21 @@ import seedsense._pool as pool_mod
 settings.register_profile("tier1", max_examples=60, deadline=None, derandomize=True)
 settings.register_profile("ci", max_examples=300, deadline=None, derandomize=True)
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def usable_cpus(monkeypatch):
+    """Set the CPUs the worker pool may use: ``usable_cpus(n)`` gives this process an
+    affinity set of n CPUs; ``usable_cpus(None)`` makes a platform that reports neither
+    an affinity set nor a CPU count."""
+    def set_cpus(count):
+        if count is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+    return set_cpus
 
 
 @pytest.fixture

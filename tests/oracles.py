@@ -83,6 +83,33 @@ def hit_fractions(n: int, s: int, p: int, score: int, pattern: str,
     return (hom_hits, hom), (all_hits, alln)
 
 
+def unrank_by_walk(population, ranks):
+    """The per-letter unranking walk of Flajolet, Zimmermann & Van Cutsem over a
+    sampler population of (size, steps) classes, one comparison per letter.
+
+    A rank picks its class by subtracting sizes; with u mismatches placed the
+    walk takes the match at step j when the rank is below ``steps[j][u]``, and
+    otherwise subtracts that count and takes the mismatch.
+    """
+    for r in ranks:
+        for size, steps in population:
+            if r < size:
+                break
+            r -= size
+        bits = 0
+        bit = 1
+        u = 0
+        for after_match in steps:
+            num = after_match[u]
+            if r < num:
+                bits |= bit
+            else:
+                r -= num
+                u += 1
+            bit <<= 1
+        yield bits
+
+
 def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:
     """Walks of length k from ordinate y to the target with interior in (0, target)."""
     if k == 0:

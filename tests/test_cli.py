@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import json
-import os
 
 import pytest
 
@@ -142,8 +141,8 @@ class TestGenerate:
         assert serial_pool == []
 
     def test_default_threads_one_per_cpu_for_large_batches(self, capsys, serial_pool,
-                                                            monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+                                                            usable_cpus):
+        usable_cpus(3)
         args = ("generate", "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1")
         assert invoke(capsys, *args, "--samples", "49999")[0] == 0
         assert serial_pool == []
@@ -262,8 +261,8 @@ class TestOptimize:
         assert probabilities == sorted(probabilities, reverse=True)
 
     def test_homogeneous_score_below_one_rejected_before_the_pool(self, capsys, serial_pool,
-                                                                   monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+                                                                   usable_cpus):
+        usable_cpus(2)
         code, out, err = invoke(capsys, "optimize", "--weight", "2", "--max-span", "3",
                                 "--length", "10", "--score", "0")
         assert code == 2
@@ -272,9 +271,9 @@ class TestOptimize:
         assert serial_pool == []
 
     @pytest.mark.parametrize("score, model", [("40", "all"), ("4", "homogeneous")])
-    def test_infeasible_score_rejected_before_the_pool(self, capsys, serial_pool, monkeypatch,
+    def test_infeasible_score_rejected_before_the_pool(self, capsys, serial_pool, usable_cpus,
                                                        score, model):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        usable_cpus(2)
         code, out, err = invoke(capsys, "optimize", "--weight", "3", "--max-span", "5",
                                 "--length", "12", "--score", score, "--model", model,
                                 "--threads", "2")

@@ -157,7 +157,8 @@ class TestFlipIdentity:
 
 schemes = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda sp: ScoringScheme(*sp))
 lengths = st.integers(1, 14)
-properties = settings(max_examples=60, deadline=None, derandomize=True)
+# the example count comes from the hypothesis profile (see conftest.py)
+properties = settings(deadline=None, derandomize=True)
 
 
 class TestCountProperties:

@@ -1,10 +1,11 @@
 import math
 import os
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 import seedsense.sampling as sampling_mod
 from seedsense.alignments import (
@@ -14,7 +15,7 @@ from seedsense.alignments import (
     is_homogeneous,
     score,
 )
-from seedsense.counting import UNIFORM, InfeasibleScore
+from seedsense.counting import HOMOGENEOUS, UNIFORM, InfeasibleScore, positive_scores
 from seedsense.sampling import (
     RandomStream,
     _GOLDEN,
@@ -26,7 +27,7 @@ from seedsense.sampling import (
     sample_free,
 )
 
-from oracles import GenerationBudgetExceeded, sample_rejection
+from oracles import GenerationBudgetExceeded, sample_rejection, unrank_by_walk
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -149,28 +150,77 @@ class TestRank:
         assert equal / (len(ranks) - 1) < 0.001
 
 
+@contextmanager
+def walk_rule(hot, block=sampling_mod._BLOCK):
+    """_unrank with every class hot (walked by `block`-letter tables) or every class cold."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling_mod, "_HOT", 0 if hot else math.inf)
+        patch.setattr(sampling_mod, "_BLOCK", block)
+        yield
+
+
+def unrank_both_ways(population, ranks):
+    """_unrank's output with every class hot, after checking that with every class
+    cold it gives the same members in the same order."""
+    ranks = list(ranks)
+    with walk_rule(hot=False):
+        cold = list(_unrank(population, ranks, len(ranks)))
+    with walk_rule(hot=True):
+        hot = list(_unrank(population, ranks, len(ranks)))
+    assert hot == cold
+    return hot
+
+
 class TestUnranking:
-    """Every rank below the population, walked directly, gives each member once."""
+    """Every rank below the population, walked directly, gives each member once,
+    with the tables of every class built (hot) and with none (cold)."""
 
     def test_fixed_score_bijection(self):
         population = _population(S13, 20, 8)
         members = sorted(a.bits for a in enumerate_homogeneous(S13, 20, 8))
         assert population[0][0] == len(members)
-        assert sorted(_unrank(population, range(len(members)))) == members
+        assert sorted(unrank_both_ways(population, range(len(members)))) == members
 
     def test_free_score_bijection(self):
         population = _population(S11, 12, None)
         members = sorted(a.bits for a in enumerate_homogeneous(S11, 12))
         assert len(members) == 91
         assert sum(size for size, _ in population) == 91
-        assert sorted(_unrank(population, range(91))) == members
+        assert sorted(unrank_both_ways(population, range(91))) == members
 
     def test_uniform_model_bijection(self):
         # scheme (1, 1), length 10, score 4: 7 matches and 3 mismatches
         population = _population(S11, 10, 4, UNIFORM)
         members = [bits for bits in range(1 << 10) if bits.bit_count() == 7]
         assert population[0][0] == len(members) == math.comb(10, 3)
-        assert sorted(_unrank(population, range(len(members)))) == members
+        assert sorted(unrank_both_ways(population, range(len(members)))) == members
+
+
+class TestBlockRule:
+    """Which classes _unrank builds tables for: the rule, pinned by counting builds."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        slots = []
+        block = sampling_mod._block
+
+        def counted(steps, j, u, size):
+            slots.append((j, u))
+            return block(steps, j, u, size)
+
+        monkeypatch.setattr(sampling_mod, "_block", counted)
+        return slots
+
+    def test_few_samples_over_many_classes_build_none(self, built):
+        # 50 samples over the 49 score classes of length 200
+        assert len(sample_free(S13, 200, 50, RandomStream(1))) == 50
+        assert built == []
+
+    def test_many_samples_in_one_class_build_each_slot_at_most_once(self, built):
+        # 5 blocks of 8 letters, q = 7: at most 5 * 8 tables
+        sample_fixed(S13, 40, 12, 20_000, RandomStream(1))
+        assert 0 < len(built) <= 5 * 8
+        assert len(set(built)) == len(built)
 
 
 schemes = st.tuples(st.integers(1, 5), st.integers(1, 5)).map(lambda sp: ScoringScheme(*sp))
@@ -179,7 +229,9 @@ lengths = st.integers(1, 12)
 
 class TestUnrankingProperties:
     """Random schemes (s, p) in [1, 5]^2 and lengths up to 12: unranking every
-    rank below the population gives each enumerated member exactly once."""
+    rank below the population gives each enumerated member exactly once, hot
+    and cold; up to length 40, it gives rank for rank the member of the
+    per-letter reference walk."""
 
     @properties
     @given(scheme=schemes, n=lengths, data=st.data())
@@ -192,7 +244,7 @@ class TestUnrankingProperties:
                 _population(scheme, n, total)
             return
         population = _population(scheme, n, total)
-        assert sorted(_unrank(population, range(len(members)))) == members
+        assert sorted(unrank_both_ways(population, range(len(members)))) == members
 
     @properties
     @given(scheme=schemes, n=lengths)
@@ -201,7 +253,7 @@ class TestUnrankingProperties:
         population = _population(scheme, n, None)
         size = sum(size for size, _ in population)
         assert size == len(members)
-        assert sorted(_unrank(population, range(size))) == members
+        assert sorted(unrank_both_ways(population, range(size))) == members
 
     @properties
     @given(scheme=schemes, n=lengths, data=st.data())
@@ -211,7 +263,39 @@ class TestUnrankingProperties:
         members = [bits for bits in range(1 << n) if bits.bit_count() == n - q]
         population = _population(scheme, n, total, UNIFORM)
         assert population[0][0] == len(members)
-        assert sorted(_unrank(population, range(len(members)))) == members
+        assert sorted(unrank_both_ways(population, range(len(members)))) == members
+
+    @properties
+    @pytest.mark.parametrize("hot", [pytest.param(True, id="hot"), pytest.param(False, id="cold")])
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @given(scheme=schemes, n=st.integers(1, 40), kind=st.sampled_from(["fixed", "free", "uniform"]),
+           data=st.data())
+    def test_equals_reference_walk(self, block, hot, scheme, n, kind, data):
+        s, p = scheme.match_score, scheme.mismatch_penalty
+        if kind == "fixed":
+            score, model = data.draw(st.sampled_from(positive_scores(scheme, n)), "score"), HOMOGENEOUS
+        elif kind == "free":
+            score, model = None, HOMOGENEOUS
+        else:
+            q = data.draw(st.integers(0, n), label="mismatches")
+            score, model = (n - q) * s - q * p, UNIFORM
+        try:
+            population = _population(scheme, n, score, model)
+        except InfeasibleScore:
+            reject()
+        total = sum(size for size, _ in population)
+        ranks = []
+        start = 0
+        for size, _ in population:
+            # each class's first and last rank, and one past each side of its boundaries
+            ranks += [start - 1, start, start + 1, start + size - 2, start + size - 1, start + size]
+            start += size
+        ranks = [r for r in ranks if 0 <= r < total]
+        random = data.draw(st.randoms(use_true_random=False), "random")
+        ranks += [random.randrange(total) for _ in range(50)]
+        with walk_rule(hot, block):
+            assert list(_unrank(population, ranks, len(ranks))) == \
+                list(unrank_by_walk(population, ranks))
 
 
 class TestSampleFixed:
@@ -303,17 +387,32 @@ class TestWorkerCap:
         pytest.param(_free, 31, 3, 3, id="free-uneven"),
         pytest.param(_fixed, 2, 3, 2, id="fewer-samples-than-cpus"),
     ])
-    def test_capped_at_cpu_count(self, draw, samples, cpus, opened, serial_pool, monkeypatch):
+    def test_capped_at_cpu_count(self, draw, samples, cpus, opened, serial_pool, usable_cpus):
         serial = draw(samples, 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        usable_cpus(cpus)
         assert draw(samples, 10_000) == serial
         assert serial_pool == [opened]
 
-    def test_unknown_cpu_count_means_serial(self, serial_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    def test_unknown_cpu_count_means_serial(self, serial_pool, usable_cpus):
+        usable_cpus(None)
         serial = sample_fixed(S11, 11, 5, 30, RandomStream(4))
         assert sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=8) == serial
         assert serial_pool == []
+
+    def test_capped_at_the_affinity_set(self, serial_pool, monkeypatch):
+        # taskset -c 0 on an 8-CPU host: one usable CPU, so no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        serial = sample_fixed(S11, 11, 5, 30, RandomStream(4))
+        assert sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=8) == serial
+        assert serial_pool == []
+
+    def test_host_count_without_an_affinity_set(self, serial_pool, usable_cpus, monkeypatch):
+        usable_cpus(None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = sample_fixed(S11, 11, 5, 30, RandomStream(4))
+        assert sample_fixed(S11, 11, 5, 30, RandomStream(4), workers=8) == serial
+        assert serial_pool == [2]
 
 
 class TestSampleRejection:

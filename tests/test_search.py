@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -90,10 +89,10 @@ class TestFindOptimal:
         assert serial.entries == parallel.entries
         assert serial.candidate_count == parallel.candidate_count
 
-    def test_threads_capped_at_cpu_count(self, serial_pool, monkeypatch):
+    def test_threads_capped_at_cpu_count(self, serial_pool, usable_cpus):
         spec = SearchSpec(3, 7, S13, 12, 8, HOMOGENEOUS, top_k=10)
         serial = find_optimal(spec, threads=1)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        usable_cpus(3)
         assert find_optimal(spec, threads=10_000).entries == serial.entries
         assert find_optimal(spec).entries == serial.entries
         assert serial_pool == [3, 3]
