@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def _usable_cpus() -> int:
@@ -15,18 +15,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_strided(fn: Callable[..., list], items: Sequence, workers: int, *args) -> list:
+def _listed(fn: Callable[..., Iterable], chunk: Sequence, *args) -> list:
+    return list(fn(chunk, *args))
+
+
+def map_strided(fn: Callable[..., Iterable], items: Sequence, workers: int, *args) -> list:
     """``fn(chunk, *args)`` over the strided chunks ``items[w::W]``, results in item order.
 
-    ``fn`` returns one result per item of its chunk. ``W`` is `workers`
-    capped at the usable CPUs and at the number of items; with ``W <= 1`` the
-    whole sequence goes to one call in this process, so no process starts.
+    ``fn`` yields one result per item of its chunk, listed where it runs.
+    ``W`` is `workers` capped at the usable CPUs and at the number of items;
+    with ``W <= 1`` the whole sequence goes to one call in this process.
     """
     width = min(workers, _usable_cpus(), len(items))
     if width <= 1:
-        return fn(items, *args)
+        return _listed(fn, items, *args)
     with ProcessPoolExecutor(max_workers=width) as pool:
-        futures = [pool.submit(fn, items[w::width], *args) for w in range(width)]
+        futures = [pool.submit(_listed, fn, items[w::width], *args) for w in range(width)]
         results = [None] * len(items)
         for w, future in enumerate(futures):
             results[w::width] = future.result()

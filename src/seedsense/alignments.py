@@ -209,18 +209,14 @@ def strategy_detects(strategy: DetectionStrategy, alignment: Alignment) -> bool:
     )
 
 
-def enumerate_homogeneous(
-    scheme: ScoringScheme,
-    n: int,
-    score: int | None = None,
-    limit: int = ORACLE_LENGTH_LIMIT,
-) -> list[Alignment]:
+def enumerate_homogeneous(scheme: ScoringScheme, n: int,
+                          score: int | None = None) -> list[Alignment]:
     """Brute-force oracle: all homogeneous alignments of length n (and the given
     score, when fixed), in lexicographic order of their 0/1 text form."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    if n > limit:
-        raise ValueError(f"length {n} exceeds the enumeration limit {limit}")
+    if n > ORACLE_LENGTH_LIMIT:
+        raise ValueError(f"length {n} exceeds the enumeration limit {ORACLE_LENGTH_LIMIT}")
     s, p = scheme.match_score, scheme.mismatch_penalty
     out = []
     for bits in range(1 << n):

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 import click
@@ -88,11 +89,14 @@ def _strategy_options(f):
     return f
 
 
-def _parse_strategy(seed_pattern: str, occurrences: int, max_overlap: int) -> DetectionStrategy:
+@contextmanager
+def _usage_errors():
+    # the domain constructors check their own arguments: a request they reject is
+    # a usage error (exit 2), and the rule is stated only where it is enforced
     try:
-        return DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
+        yield
     except ValueError as err:
-        raise click.BadParameter(str(err))
+        raise click.UsageError(str(err)) from None
 
 
 def _parse_range(text: str) -> list[int]:
@@ -185,11 +189,10 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
         # worker processes only pay off for big batches; output never changes,
         # and the pool starts at most one worker per usable CPU
         threads = samples if samples >= 50_000 else 1
-    workers = threads
     if score is None:
-        drawn = sample_free(scheme, length, samples, stream, workers=workers)
+        drawn = sample_free(scheme, length, samples, stream, workers=threads)
     else:
-        drawn = sample_fixed(scheme, length, score, samples, stream, workers=workers)
+        drawn = sample_fixed(scheme, length, score, samples, stream, workers=threads)
     params = {"match": match, "mismatch": mismatch, "length": length, "score": score,
               "rng_seed": rng_seed, "samples": samples}
     # every format is a head, the sample texts (never quoted or escaped) joined by
@@ -246,11 +249,10 @@ def sensitivity(seed_pattern: str, occurrences: int, max_overlap: int, length: i
                 model: str, match: int, mismatch: int, fmt: str, precision: int,
                 output_path: str | None) -> None:
     """Exact probability that the strategy detects a random alignment."""
-    strategy = _parse_strategy(seed_pattern, occurrences, max_overlap)
-    scheme = ScoringScheme(match, mismatch)
-    if model == HOMOGENEOUS and score < 1:
-        raise click.UsageError("--model homogeneous requires --score >= 1")
-    report = hit_probability_profile(strategy, scheme, score, [length], model)[0]
+    with _usage_errors():
+        query = SensitivityQuery(DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap),
+                                 ScoringScheme(match, mismatch), length, score, model)
+    report = hit_probability_profile(query.strategy, query.scheme, score, [length], model)[0]
     _emit(_sensitivity_rows([report], precision), [report.decimal(precision)],
           fmt, output_path)
 
@@ -271,11 +273,9 @@ def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score
        model: str, samples: int, rng_seed: int, match: int, mismatch: int,
        fmt: str, precision: int, output_path: str | None) -> None:
     """Monte-Carlo estimate of the hit probability, with standard error."""
-    strategy = _parse_strategy(seed_pattern, occurrences, max_overlap)
-    scheme = ScoringScheme(match, mismatch)
-    if model == HOMOGENEOUS and score < 1:
-        raise click.UsageError("--model homogeneous requires --score >= 1")
-    query = SensitivityQuery(strategy, scheme, length, score, model)
+    with _usage_errors():
+        query = SensitivityQuery(DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap),
+                                 ScoringScheme(match, mismatch), length, score, model)
     result = mc_estimate(query, samples, RandomStream(rng_seed))
     estimate_text = decimal_ratio(result.hits, result.samples, precision)
     stderr_text = f"{result.stderr:.{precision}f}"
@@ -309,11 +309,9 @@ def optimize(weight: int, max_span: int, length: int, score: int, model: str, to
              threads: int | None, match: int, mismatch: int, fmt: str, precision: int,
              output_path: str | None) -> None:
     """Exhaustively rank candidate seeds by exact sensitivity."""
-    scheme = ScoringScheme(match, mismatch)
-    try:
-        spec = SearchSpec(weight, max_span, scheme, length, score, model, top)
-    except ValueError as err:
-        raise click.UsageError(str(err))
+    with _usage_errors():
+        spec = SearchSpec(weight, max_span, ScoringScheme(match, mismatch), length, score,
+                          model, top)
     ranked = find_optimal(spec, threads=threads)
     rows = []
     text_lines = []
@@ -348,13 +346,14 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
     requested model) are skipped; each remaining (length, model) pair yields
     exactly one row.
     """
-    strategy = _parse_strategy(seed_pattern, occurrences, max_overlap)
-    scheme = ScoringScheme(match, mismatch)
-    if score < 1 and model != UNIFORM:
-        raise click.UsageError("homogeneous curves require --score >= 1")
+    models = [HOMOGENEOUS, UNIFORM] if model == "both" else [model]
+    with _usage_errors():
+        strategy = DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
+        scheme = ScoringScheme(match, mismatch)
+        for m in models:  # checks the score before CountTableD, which assumes it valid
+            SensitivityQuery(strategy, scheme, 1, score, m)
     lengths = _parse_range(length_range)
     feasible = [n for n in lengths if feasible_composition(scheme, n, score) is not None]
-    models = [HOMOGENEOUS, UNIFORM] if model == "both" else [model]
     if HOMOGENEOUS in models and feasible:
         # a feasible composition can still have an empty homogeneous population
         table = CountTableD(scheme, score, max(feasible))

@@ -139,19 +139,16 @@ def _ranks(seed: int, indices: Iterable[int], bound: int) -> Iterator[int]:
     seed, ``RandomStream(seed).spawn(i).seed``. Starting from the scrambled
     child seed keeps the words of neighbouring indices apart; stepping
     ``seed + (i+1)*GOLDEN`` directly would make a sample's retry word the
-    next sample's first word. A k-bit bound takes ceil(k/64) words per try,
-    and a try that is not below the bound is rejected. The indices are taken
-    ``_BATCH`` at a time and their ranks computed together by ``_batch_ranks``.
+    next sample's first word. A k-bit bound takes ceil(k/64) words per try
+    (none for bound 1, whose every rank is 0), and a try that is not below
+    the bound is rejected. The indices are taken ``_BATCH`` at a time and
+    their ranks computed together by ``_batch_ranks``.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     k = (bound - 1).bit_length()
     words = -(-k // 64)
     indices = iter(indices)
-    if not words:
-        for _ in indices:
-            yield 0
-        return
     while batch := array("Q", islice(indices, _BATCH)):
         yield from _batch_ranks(seed, batch, bound, words, 64 * words - k)
 
@@ -331,15 +328,16 @@ def _unrank(population: _Population, ranks: Iterable[int], count: int) -> Iterat
 
 
 def _draw(indices: Sequence[int], scheme: ScoringScheme, n: int, score: int | None, seed: int,
-          model: str = HOMOGENEOUS) -> list[int]:
-    """The bit strings of samples `indices` of the stream seeded `seed`.
+          model: str = HOMOGENEOUS) -> Iterator[int]:
+    """The bit strings of samples `indices` of the stream seeded `seed`, as a lazy stream.
 
-    Every sampler draws through here: a worker builds its own population and
-    unranks the ``_ranks`` of its indices.
+    Every sampler draws through here, one call per request in each process:
+    the population is built now (an infeasible score raises here), and the
+    ``_ranks`` of the indices are computed and unranked as the stream is read.
     """
     population = _population(scheme, n, score, model)
     bound = sum(size for size, _ in population)
-    return list(_unrank(population, _ranks(seed, indices, bound), len(indices)))
+    return _unrank(population, _ranks(seed, indices, bound), len(indices))
 
 
 def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,

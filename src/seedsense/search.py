@@ -89,13 +89,11 @@ def seed_count(weight: int, max_span: int) -> int:
     return sum(math.comb(span - 2, weight - 2) for span in range(weight, max_span + 1))
 
 
-def _evaluate_patterns(patterns: list[str], match: int, mismatch: int, length: int,
-                       score: int, model: str) -> list[tuple[int, int]]:
-    scheme = ScoringScheme(match, mismatch)
+def _evaluate_patterns(patterns: list[str], spec: SearchSpec) -> list[tuple[int, int]]:
     out = []
     for pattern in patterns:
-        strategy = DetectionStrategy(Seed(pattern))
-        report = hit_probability_profile(strategy, scheme, score, [length], model)[0]
+        report = hit_probability_profile(DetectionStrategy(Seed(pattern)), spec.scheme,
+                                         spec.score, [spec.length], spec.model)[0]
         out.append((report.numerator, report.denominator))
     return out
 
@@ -116,9 +114,7 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     representatives = sorted({min(p, p[::-1]) for p in patterns})
     # no thread count: as many workers as there are candidates, capped at the usable CPUs
     workers = len(representatives) if threads is None else threads
-    results = map_strided(_evaluate_patterns, representatives, workers,
-                          spec.scheme.match_score, spec.scheme.mismatch_penalty,
-                          spec.length, spec.score, spec.model)
+    results = map_strided(_evaluate_patterns, representatives, workers, spec)
     evaluated = dict(zip(representatives, results))
     ranked = []
     for pattern in patterns:

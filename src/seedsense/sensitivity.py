@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 
+from . import sampling
 from .alignments import DetectionStrategy, ScoringScheme, _admissible, _window_starts
 from .counting import HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, lane, lane_sweep
-from .sampling import RandomStream, _draw
-
-_MC_CHUNK = 1 << 16  # samples drawn per call of the sampler in mc_estimate
-_MC_SCAN = 1 << 12  # samples packed into one int by _hits: their bytes are held at once
+from .sampling import RandomStream
 
 
 @dataclass(frozen=True)
@@ -245,21 +243,19 @@ def _hits(draws: list[int], n: int, strategy: DetectionStrategy) -> int:
 def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:
     """Monte-Carlo hit-rate estimate with binomial standard error.
 
-    Sample i is the one ``generate`` draws as sample i of the same stream;
-    the sampler computes the ranks of a batch of samples at a time in
-    128-bit lanes of one int. Detection is bit-parallel too: ``_hits`` scans
-    up to ``_MC_SCAN`` samples at once, each in its own lane of one int.
-    Every rank, sample and hit count is the one the sample-by-sample
-    definition gives.
+    Sample i is the one ``generate`` draws as sample i of the same stream:
+    one ``_draw`` stream serves the whole request, and it is read one rank
+    batch (``sampling._BATCH`` samples) at a time, so memory does not grow
+    with the sample count. ``_hits`` scans each batch at once, each sample in
+    its own lane of one int. Every rank, sample and hit count is the one the
+    sample-by-sample definition gives.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = query.length
+    draws = sampling._draw(range(samples), query.scheme, n, query.score, stream.seed,
+                           query.model)
     hits = 0
-    # in chunks, so memory does not grow with the sample count
-    for start in range(0, samples, _MC_CHUNK):
-        draws = _draw(range(start, min(start + _MC_CHUNK, samples)), query.scheme, n,
-                      query.score, stream.seed, query.model)
-        hits += sum(_hits(draws[j:j + _MC_SCAN], n, query.strategy)
-                    for j in range(0, len(draws), _MC_SCAN))
+    while batch := list(islice(draws, sampling._BATCH)):
+        hits += _hits(batch, n, query.strategy)
     return McEstimate(query, samples, hits)

@@ -369,21 +369,17 @@ class TestHitAutomaton:
 
 
 class TestMonteCarlo:
-    @pytest.mark.parametrize("chunk, batch, scan", [
-        pytest.param(None, None, None, id="one-chunk"),
-        pytest.param(7, None, None, id="chunks-of-7"),
-        # rank batches of 3 cut each chunk of 7 after 3 and 6 samples, scans of 2
-        # after 2, 4 and 6
-        pytest.param(7, 3, 2, id="chunks-of-7-batches-of-3"),
+    @pytest.mark.parametrize("batch", [
+        pytest.param(None, id="one-batch"),
+        # the runs of 1 to 60 samples end mid-batch as well as on a batch boundary
+        pytest.param(7, id="batches-of-7"),
+        pytest.param(3, id="batches-of-3"),
     ])
-    def test_shares_draws_with_generate(self, chunk, batch, scan, monkeypatch):
+    def test_shares_draws_with_generate(self, batch, monkeypatch):
         # mc and generate draw sample i of a stream from one population and rank,
         # so every prefix of a generate run holds exactly the hits of mc
-        for module, name, value in ((sensitivity_mod, "_MC_CHUNK", chunk),
-                                    (sampling_mod, "_BATCH", batch),
-                                    (sensitivity_mod, "_MC_SCAN", scan)):
-            if value:
-                monkeypatch.setattr(module, name, value)
+        if batch:
+            monkeypatch.setattr(sampling_mod, "_BATCH", batch)
         for pattern, occurrences, n, total, rng_seed in (("1111111", 1, 24, 8, 12),
                                                          ("11111", 2, 24, 8, 3),
                                                          ("1110010110111", 1, 40, 12, 5)):
@@ -401,10 +397,10 @@ class TestMonteCarlo:
            interior=st.lists(st.sampled_from("01"), max_size=10), single=st.booleans(),
            occurrences=st.integers(1, 3), model=st.sampled_from([HOMOGENEOUS, UNIFORM]),
            samples=st.integers(1, 150), rng_seed=st.integers(0, (1 << 64) - 1),
-           scan=st.integers(1, 64), data=st.data())
+           batch=st.integers(1, 64), data=st.data())
     def test_hits_equal_subset_oracle(self, s, p, interior, single, occurrences, model,
-                                      samples, rng_seed, scan, data):
-        # the lane-packed scan, `scan` samples to an int, against literal subset
+                                      samples, rng_seed, batch, data):
+        # the lane-packed scan, `batch` samples to an int, against literal subset
         # checks of the same draws, for seeds of span <= 12 and lengths below, at
         # and above the span
         pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
@@ -423,16 +419,32 @@ class TestMonteCarlo:
                 draws = [Alignment.from_string(text).bits for text in
                          sample_fixed(scheme, n, total, samples, RandomStream(rng_seed))]
             else:
-                draws = _draw(range(samples), scheme, n, total, rng_seed, model)
+                draws = list(_draw(range(samples), scheme, n, total, rng_seed, model))
         except InfeasibleScore:
             with pytest.raises(InfeasibleScore):
                 mc_estimate(query_, samples, RandomStream(rng_seed))
             return
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sensitivity_mod, "_MC_SCAN", scan)
+            patch.setattr(sampling_mod, "_BATCH", batch)
             hits = mc_estimate(query_, samples, RandomStream(rng_seed)).hits
         assert hits == sum(subset_detects(bits, n, pattern, occurrences, overlap)
                            for bits in draws)
+
+    @pytest.mark.parametrize("model", [HOMOGENEOUS, UNIFORM])
+    def test_one_population_per_request(self, model, monkeypatch):
+        # 100 samples in batches of 7: one population serves the whole request,
+        # and _hits never holds more than a batch
+        populations = []
+        batches = []
+        population, hits = sampling_mod._population, sensitivity_mod._hits
+        monkeypatch.setattr(sampling_mod, "_BATCH", 7)
+        monkeypatch.setattr(sampling_mod, "_population",
+                            lambda *args: populations.append(args) or population(*args))
+        monkeypatch.setattr(sensitivity_mod, "_hits",
+                            lambda draws, *args: batches.append(len(draws)) or hits(draws, *args))
+        mc_estimate(query("1110010110111", S13, 40, 12, model), 100, RandomStream(4))
+        assert len(populations) == 1
+        assert batches == [7] * 14 + [2]
 
     def test_certain_seed(self):
         result = mc_estimate(query("1", S13, 9, 5), 500, RandomStream(0))
