@@ -182,31 +182,32 @@ def _window_starts(bits: int, mask: int, starts: int) -> int:
     return starts
 
 
-def _admissible(starts: int, needed: int, min_gap: int) -> bool:
-    """True iff `needed` of the window starts in `starts` lie at least min_gap apart.
+def _admissible(found: int, needed: int, min_gap: int, ones: int, top: int) -> int:
+    """How many lanes of `found` hold `needed` window starts at least min_gap apart.
 
-    Greedy earliest-admissible selection, optimal for a minimum-gap
-    constraint; the gap between two starts equals the gap between their ends.
+    A lane has its low bit in `ones` and a spare top bit in `top`, at or
+    above its last start plus min_gap; one alignment is one lane (``ones =
+    1``). Greedy earliest-admissible selection, optimal for a minimum-gap
+    constraint (the gap between two starts equals the gap between their
+    ends), runs in every lane at once: subtracting `ones` under the top bits,
+    which absorb every borrow (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 1975), finds each lane's lowest start.
     """
-    while starts:
-        needed -= 1
-        if not needed:
-            return True
-        first = starts & -starts
-        starts &= -(first << min_gap)  # drop the starts less than min_gap after it
-    return False
+    for _ in range(needed - 1):
+        first = found & ~((found | top) - ones)  # each lane's lowest start
+        found &= ~((first << min_gap | top) - ones)  # drop the starts less than min_gap after it
+    return ((found | top) - ones & top).bit_count()
 
 
 def strategy_detects(strategy: DetectionStrategy, alignment: Alignment) -> bool:
     """True iff there are required_occurrences seed matches with consecutive
-    end positions at least span - max_overlap apart."""
+    end positions at least span - max_overlap apart (``_admissible`` on one lane)."""
     seed = strategy.seed
-    starts = (1 << max(alignment.length - seed.span + 1, 0)) - 1
-    return _admissible(
-        _window_starts(alignment.bits, seed.required_mask, starts),
-        strategy.required_occurrences,
-        seed.span - strategy.max_overlap,
-    )
+    n = alignment.length
+    found = _window_starts(alignment.bits, seed.required_mask,
+                           (1 << max(n - seed.span + 1, 0)) - 1)
+    return _admissible(found, strategy.required_occurrences,
+                       seed.span - strategy.max_overlap, 1, 1 << n) == 1
 
 
 def enumerate_homogeneous(scheme: ScoringScheme, n: int,

@@ -45,6 +45,14 @@ MODELS = (HOMOGENEOUS, UNIFORM)
 class InfeasibleScore(ValueError):
     """No alignment of the requested length and score exists under the scheme."""
 
+    @classmethod
+    def empty(cls, scheme: ScoringScheme, n: int, score: int | None,
+              model: str) -> InfeasibleScore:
+        """The error for an empty population of the model, worded by model."""
+        if model == HOMOGENEOUS:
+            return cls(f"no homogeneous alignment of length {n} has score {score} under {scheme}")
+        return cls(f"no alignments of length {n} and score {score} under {scheme}")
+
 
 @dataclass(frozen=True)
 class Composition:

@@ -232,10 +232,7 @@ def _population(scheme: ScoringScheme, n: int, score: int | None,
             # rows[k] holds the windowed layer of length k; step j reads length n - j - 1
             classes.append((size, rows[n - 1::-1]))
     if not classes:
-        if model == HOMOGENEOUS:
-            raise InfeasibleScore(
-                f"no homogeneous alignment of length {n} has score {score} under {scheme}")
-        raise InfeasibleScore(f"no alignments of length {n} and score {score} under {scheme}")
+        raise InfeasibleScore.empty(scheme, n, score, model)
     return classes
 
 

@@ -108,8 +108,7 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     # an empty population fails every candidate alike, so it fails before any worker starts
     count = count_homogeneous if spec.model == HOMOGENEOUS else count_unconstrained
     if count(spec.scheme, spec.length, spec.score) == 0:
-        raise InfeasibleScore(
-            f"no alignments of length {spec.length} and score {spec.score} under {spec.scheme}")
+        raise InfeasibleScore.empty(spec.scheme, spec.length, spec.score, spec.model)
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
     # no thread count: as many workers as there are candidates, capped at the usable CPUs

@@ -30,7 +30,8 @@ from itertools import islice, repeat
 
 from . import sampling
 from .alignments import DetectionStrategy, ScoringScheme, _admissible, _window_starts
-from .counting import HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, lane, lane_sweep
+from .counting import (HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, feasible_composition,
+                       lane, lane_sweep)
 from .sampling import RandomStream
 
 
@@ -147,21 +148,17 @@ class _HitAutomaton:
 def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
              lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
     """(hits, population) per requested length, both read from one sweep."""
-    s, p = scheme.match_score, scheme.mismatch_penalty
     horizon = max(lengths)
     width = horizon + 1
     accept = automaton.accept
-    wanted = set(lengths)
-    out: dict[int, tuple[int, int]] = {}
+    out = dict.fromkeys(lengths, (0, 0))
     sweep = lane_sweep(automaton.step0, automaton.step1, automaton.start, scheme, score,
                        horizon, model)
     for i, (layer, base, _, _) in enumerate(sweep):
-        if i in wanted:
-            # read before the window, which excludes the score itself when homogeneous;
-            # lanes above i read as 0
-            q, rem = divmod(i * s - score, s + p)
-            out[i] = (0, 0) if rem else (lane(layer[accept], q, base, width),
-                                         lane(sum(layer), q, base, width))
+        # read before the window, which excludes the score itself when homogeneous
+        if i in out and (comp := feasible_composition(scheme, i, score)):
+            q = comp.mismatches
+            out[i] = (lane(layer[accept], q, base, width), lane(sum(layer), q, base, width))
     return out
 
 
@@ -181,8 +178,7 @@ def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, 
     for query in queries:
         hits, population = profile[query.length]
         if population == 0:
-            raise InfeasibleScore(
-                f"no alignments of length {query.length} and score {score} under {scheme}")
+            raise InfeasibleScore.empty(scheme, query.length, score, model)
         reports.append(SensitivityReport(query, hits, population))
     return reports
 
@@ -218,11 +214,10 @@ def _hits(draws: list[int], n: int, strategy: DetectionStrategy) -> int:
     """How many of the length-n alignments `draws` the strategy detects, scanned together.
 
     Each alignment sits in its own byte-aligned lane of one int, with a spare
-    top bit, and ``_window_starts`` on that int marks the matching window
-    starts of every lane at once. For one occurrence, an alignment is hit
-    when its lane holds any start, and the lanes are counted at once by
-    subtracting 1 from each under its top bit. For more occurrences, the
-    greedy of ``strategy_detects`` runs on each alignment's own starts.
+    top bit at or above bit n, and ``_window_starts`` on that int marks the
+    matching window starts of every lane at once. The occurrence greedy,
+    ``_admissible``, then runs on every lane at once and counts the lanes it
+    hits.
     """
     seed = strategy.seed
     width = n // 8 + 1  # bytes per lane: n letters and the spare top bit
@@ -230,14 +225,8 @@ def _hits(draws: list[int], n: int, strategy: DetectionStrategy) -> int:
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(draws), "little")
     found = _window_starts(int.from_bytes(lanes, "little"), seed.required_mask,
                            ones * ((1 << max(n - seed.span + 1, 0)) - 1))
-    if strategy.required_occurrences == 1:
-        top = ones << 8 * width - 1
-        return ((found | top) - ones & top).bit_count()
-    starts = found.to_bytes(len(lanes), "little")
-    min_gap = seed.span - strategy.max_overlap
-    return sum(_admissible(int.from_bytes(starts[j:j + width], "little"),
-                           strategy.required_occurrences, min_gap)
-               for j in range(0, len(starts), width))
+    return _admissible(found, strategy.required_occurrences, seed.span - strategy.max_overlap,
+                       ones, ones << 8 * width - 1)
 
 
 def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:

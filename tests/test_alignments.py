@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seedsense.alignments import (
     Alignment,
@@ -181,17 +182,20 @@ class TestStrategyDetects:
         assert not strategy_detects(DetectionStrategy(Seed("11"), 2, 0), A("111"))
         assert strategy_detects(DetectionStrategy(Seed("11"), 2, 1), A("111"))
 
-    def test_greedy_matches_subset_oracle(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            span = rng.randint(1, 5)
-            pattern = "1" + "".join(rng.choice("01") for _ in range(span - 2)) + "1" \
-                if span > 1 else "1"
-            seed = Seed(pattern)
-            n = rng.randint(1, 12)
-            bits = rng.getrandbits(n)
-            occurrences = rng.randint(1, 3)
-            overlap = rng.randint(0, seed.span - 1)
-            strategy = DetectionStrategy(seed, occurrences, overlap)
-            expected = subset_detects(bits, n, pattern, occurrences, overlap)
-            assert strategy_detects(strategy, Alignment(n, bits)) == expected
+    @given(interior=st.lists(st.sampled_from("01"), max_size=10), single=st.booleans(),
+           occurrences=st.integers(1, 4), data=st.data())
+    def test_greedy_matches_subset_oracle(self, interior, single, occurrences, data):
+        # seeds of span <= 12 with any overlap, lengths up to 48 below, at and above the
+        # span; seed windows planted at drawn starts give occurrences at every gap
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        span = len(pattern)
+        overlap = data.draw(st.integers(0, span - 1), label="overlap")
+        n = data.draw(st.one_of(st.integers(1, span), st.integers(1, 48)), label="length")
+        bits = data.draw(st.integers(0, (1 << n) - 1), label="letters")
+        for start in data.draw(st.lists(st.integers(0, max(n - span, 0)), max_size=6),
+                               label="planted window starts"):
+            bits |= Seed(pattern).required_mask << start
+        bits &= (1 << n) - 1
+        strategy = DetectionStrategy(Seed(pattern), occurrences, overlap)
+        expected = subset_detects(bits, n, pattern, occurrences, overlap)
+        assert strategy_detects(strategy, Alignment(n, bits)) == expected

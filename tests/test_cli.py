@@ -200,6 +200,15 @@ class TestSensitivity:
         assert int(p2["numerator"]) <= int(p1["numerator"])
         assert p2["occurrences"] == "2" and p2["max_overlap"] == "1"
 
+    def test_empty_homogeneous_population_names_the_model(self, capsys):
+        # three sequences of length 3 score 1 under (1, 1), and none is homogeneous
+        args = ("--length", "3", "--score", "1", "--match", "1", "--mismatch", "1")
+        assert invoke(capsys, "count", *args, "--model", "all")[:2] == (0, "3\n")
+        code, out, err = invoke(capsys, "sensitivity", "--seed", "1", *args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: no homogeneous alignment of length 3 has score 1 under")
+
 
 class TestMc:
     def test_deterministic_and_fields(self, capsys):
@@ -279,7 +288,9 @@ class TestOptimize:
                                 "--threads", "2")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: no alignments of length 12 and score")
+        assert err.startswith({"all": "error: no alignments of length 12 and score",
+                               "homogeneous": "error: no homogeneous alignment of length 12 "
+                                              "has score"}[model])
         assert serial_pool == []
 
     def test_text_footer(self, capsys):

@@ -457,6 +457,20 @@ class TestMonteCarlo:
         result = mc_estimate(query("1", S11, 8, -6, UNIFORM), 200, RandomStream(1))
         assert result.hits == 200
 
+    @pytest.mark.parametrize("n", [15, 39, 47])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["hit", "miss"])
+    def test_last_cut_on_the_spare_top_bit(self, n, extra):
+        # n = 8 * width - 1: the spare top bit of a lane is bit n. The all-match string
+        # alone scores n under (1, 1), and "111" without overlap fits n // 3 times; asked
+        # for one more, the greedy cuts after the start n - 3, at bit n itself
+        occurrences = n // 3 + extra
+        assert strategy_detects(strategy("111", occurrences), Alignment(n, (1 << n) - 1)) \
+            == (not extra)
+        for model in (HOMOGENEOUS, UNIFORM):
+            result = mc_estimate(query("111", S11, n, n, model, occurrences), 50,
+                                 RandomStream(1))
+            assert result.hits == (0 if extra else 50)
+
     def test_impossible_seed(self):
         result = mc_estimate(query("111", S11, 5, 3), 200, RandomStream(0))
         assert result.hits == 0
