@@ -6,7 +6,9 @@ with one Python int per state of a scanner automaton; with a single state
 there is no scanner and the sweep counts the whole population. A prefix of length i with q mismatches scores
 i*s - q*(s+p), so at each length the mismatch count fixes the score, and a
 state's int packs its prefix counts in fixed-width lanes, one per mismatch
-count (Kronecker substitution: Schönhage 1982; Harvey 2009). A match adds a
+count (Kronecker substitution: Schönhage 1982; Harvey 2009). A lane is as
+wide as the largest count it can hold, the binomial bound of ``lane_width``:
+86 bits at length 128 and score 32 under (1, 3), not 129. A match adds a
 state's int to its successor's unchanged, a mismatch adds it shifted up one
 lane, so one big-int add moves every prefix score of a state at once. After
 each step a window keeps only the lanes whose score can still end on the
@@ -123,13 +125,28 @@ def positive_scores(scheme: ScoringScheme, n: int) -> range:
     return range(low * (s + p) - n * p, n * s + 1, s + p)
 
 
+def lane_width(scheme: ScoringScheme, score: int, horizon: int) -> int:
+    """Bits per lane of a ``lane_sweep`` to `score` at `horizon`.
+
+    A prefix of length i with q mismatches can still end on the score only if
+    q <= qcap = (horizon*s - score) // (s+p), so every lane the window keeps,
+    and every lane a reader takes, counts at most C(i, q) <= C(horizon,
+    min(qcap, horizon // 2)) prefixes summed over all states. A lane above
+    qcap is the top lane of its int and is dropped by the next window, so its
+    carry reaches no kept lane.
+    """
+    s, p = scheme.match_score, scheme.mismatch_penalty
+    qcap = min(horizon, max(0, (horizon * s - score) // (s + p)))
+    return max(1, math.comb(horizon, min(qcap, horizon // 2)).bit_length())
+
+
 def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringScheme,
                score: int, horizon: int, model: str) -> Iterator[tuple[list[int], int, int, int]]:
     """Prefix counts by state and mismatch count, one layer per length 0..horizon.
 
     `step0` and `step1` map each state to its successor on a mismatch and on
     a match; ``[0], [0], 0`` is the sweep without a scanner. Each yield is
-    ``(layer, base, low, high)``: lane j of ``layer[state]``, ``horizon + 1``
+    ``(layer, base, low, high)``: lane j of ``layer[state]``, ``lane_width``
     bits wide, counts the state's prefixes with base + j mismatches, before
     the window; low..high are the mismatch counts the window keeps, those
     whose score can still end on `score` at the horizon (inside the open band
@@ -137,9 +154,9 @@ def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringSc
     """
     s, p = scheme.match_score, scheme.mismatch_penalty
     per_mismatch = s + p
-    # summed over all states a lane holds at most C(i, q) <= 2**horizon prefixes, so
-    # width bits never carry into the next lane
-    width = horizon + 1
+    # summed over all states no kept lane outgrows width bits (see lane_width), so
+    # none carries into the next lane
+    width = lane_width(scheme, score, horizon)
     size = len(step0)
     layer = [0] * size
     layer[start] = 1
@@ -192,7 +209,7 @@ def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -
     for layer, base, _, _ in lane_sweep([0], [0], 0, scheme, score, n, HOMOGENEOUS):
         pass
     # the lane of the score itself, read before the window excludes it
-    return lane(layer[0], comp.mismatches, base, n + 1)
+    return lane(layer[0], comp.mismatches, base, lane_width(scheme, score, n))
 
 
 def count_unconstrained(scheme: ScoringScheme, n: int, score: int) -> int:

@@ -60,6 +60,7 @@ from .counting import (
     feasible_composition,
     lane,
     lane_sweep,
+    lane_width,
     positive_scores,
 )
 
@@ -213,13 +214,13 @@ def _population(scheme: ScoringScheme, n: int, score: int | None,
     if n < 1:
         raise ValueError("length must be >= 1")
     scores = positive_scores(scheme, n) if score is None else [score]
-    width = n + 1
     classes = []
     for t in scores:
         comp = feasible_composition(scheme, n, t)
         if comp is None or (model == HOMOGENEOUS and t < 1):
             continue
         q = comp.mismatches
+        width = lane_width(scheme, t, n)
         rows = []
         for layer, base, low, high in lane_sweep([0], [0], 0, scheme, t, n, model):
             v = layer[0]

@@ -5,7 +5,8 @@ sorted by exact probability (descending) with lexicographic pattern order as
 the tie-break, so parallel and serial runs rank identically. A seed and its
 reversal always have the same hit probability (reversal is a bijection on
 both alignment models that preserves detection), so only one of each mirror
-pair is evaluated.
+pair is evaluated, and that evaluation sweeps the smaller of the pair's two
+scanners (see ``sensitivity._scanner``).
 """
 
 from __future__ import annotations

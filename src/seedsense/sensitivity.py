@@ -19,6 +19,12 @@ the recent letters that can still complete a match, so the automaton is a
 quotient of the one that remembers those letters and is never larger than
 it. For the weight-11, span-18 seed 110100110010101111 it has 283 states,
 against 756 for the suffix automaton and 243 for the minimal one.
+
+A strategy and its mirror, the reversed seed with the same occurrences and
+overlap, have the same hit counts in both models, but their scanners often
+differ in size, and the sweep costs time in proportion to the states. So
+``_scanner`` sweeps the smaller of the two: the seed above is swept through
+its mirror's 199 states.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from . import sampling
-from .alignments import DetectionStrategy, ScoringScheme, _admissible, _window_starts
+from .alignments import DetectionStrategy, ScoringScheme, Seed, _admissible, _window_starts
 from .counting import (HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, feasible_composition,
-                       lane, lane_sweep)
+                       lane, lane_sweep, lane_width)
 from .sampling import RandomStream
 
 
@@ -145,11 +151,24 @@ class _HitAutomaton:
         self.size = len(states)
 
 
+def _scanner(strategy: DetectionStrategy) -> _HitAutomaton:
+    """The smaller of the scanners of the strategy and of its mirror, its own on a tie.
+
+    Reversal maps each alignment model onto itself and preserves detection,
+    so both scanners give the same hit counts.
+    """
+    own = _HitAutomaton(strategy)
+    mirror = _HitAutomaton(DetectionStrategy(Seed(strategy.seed.pattern[::-1]),
+                                             strategy.required_occurrences,
+                                             strategy.max_overlap))
+    return mirror if mirror.size < own.size else own
+
+
 def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
              lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
     """(hits, population) per requested length, both read from one sweep."""
     horizon = max(lengths)
-    width = horizon + 1
+    width = lane_width(scheme, score, horizon)
     accept = automaton.accept
     out = dict.fromkeys(lengths, (0, 0))
     sweep = lane_sweep(automaton.step0, automaton.step1, automaton.start, scheme, score,
@@ -173,7 +192,7 @@ def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, 
     if not lengths:
         raise ValueError("lengths must be nonempty")
     queries = [SensitivityQuery(strategy, scheme, n, score, model) for n in lengths]
-    profile = _profile(_HitAutomaton(strategy), scheme, score, lengths, model)
+    profile = _profile(_scanner(strategy), scheme, score, lengths, model)
     reports = []
     for query in queries:
         hits, population = profile[query.length]

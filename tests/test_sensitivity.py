@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import seedsense.sampling as sampling_mod
 import seedsense.sensitivity as sensitivity_mod
@@ -17,6 +17,7 @@ from seedsense.sensitivity import (
     SensitivityReport,
     _HitAutomaton,
     _profile,
+    _scanner,
     decimal_ratio,
     hit_probability,
     hit_probability_profile,
@@ -330,6 +331,16 @@ class TestHitAutomaton:
     def test_state_counts(self, pattern, occurrences, overlap, size):
         assert _HitAutomaton(strategy(pattern, occurrences, overlap)).size == size
 
+    # the scanner swept is the smaller of the strategy's and its mirror's (the
+    # reversed seed, same occurrences and overlap), the strategy's own on a tie
+    @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
+        ("110001010111101", 1, 0, 90),       # its own has 172
+        ("1010110111010001", 1, 0, 95),      # its own; the mirror has 167
+        ("110100110010101111", 2, 17, 397),  # its own has 565
+    ])
+    def test_scanner_is_the_smaller(self, pattern, occurrences, overlap, size):
+        assert _scanner(strategy(pattern, occurrences, overlap)).size == size
+
     def test_accepts_exactly_the_detected_prefixes(self):
         rng = random.Random(77)
         for _ in range(12):
@@ -525,3 +536,26 @@ class TestProfileProperties:
         for model, side in ((HOMOGENEOUS, 0), (UNIFORM, 1))[total < 1:]:
             assert _profile(auto, ScoringScheme(s, p), total, lengths, model) == \
                 {n: oracle[n][side] for n in lengths}
+
+    @settings(deadline=None, derandomize=True)
+    @given(s=st.integers(1, 4), p=st.integers(1, 4),
+           interior=st.lists(st.sampled_from("01"), min_size=1, max_size=10),
+           occurrences=st.integers(1, 3), data=st.data())
+    def test_mirror_scanner_gives_the_same_profile(self, s, p, interior, occurrences, data):
+        # both scanners swept directly: hit_probability_profile sweeps one scanner for a
+        # strategy and its mirror alike, so comparing through it would prove nothing
+        pattern = "1" + "".join(interior) + "1"
+        assume(pattern != pattern[::-1])  # a palindrome is its own mirror
+        overlap = data.draw(st.integers(0, len(pattern) - 1), label="overlap")
+        lengths = data.draw(st.lists(st.integers(1, 96), min_size=1, max_size=4, unique=True),
+                            label="lengths")
+        horizon = max(lengths)
+        q = data.draw(st.integers(0, horizon), label="mismatches at the longest length")
+        total = (horizon - q) * s - q * p
+        scheme = ScoringScheme(s, p)
+        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
+        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
+        # a homogeneous score is positive (SensitivityQuery rejects any other)
+        for model in (HOMOGENEOUS, UNIFORM)[total < 1:]:
+            assert _profile(own, scheme, total, lengths, model) == \
+                _profile(mirror, scheme, total, lengths, model), model
