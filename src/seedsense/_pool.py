@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 
@@ -13,6 +12,13 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _executor(width: int):
+    """A pool of `width` worker processes. ``concurrent.futures`` is imported only
+    here, so a command that opens no pool does not pay for loading it."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=width)
 
 
 def _listed(fn: Callable[..., Iterable], chunk: Sequence, *args) -> list:
@@ -29,7 +35,7 @@ def map_strided(fn: Callable[..., Iterable], items: Sequence, workers: int, *arg
     width = min(workers, _usable_cpus(), len(items))
     if width <= 1:
         return _listed(fn, items, *args)
-    with ProcessPoolExecutor(max_workers=width) as pool:
+    with _executor(width) as pool:
         futures = [pool.submit(_listed, fn, items[w::width], *args) for w in range(width)]
         results = [None] * len(items)
         for w, future in enumerate(futures):

@@ -14,7 +14,10 @@ lane, so one big-int add moves every prefix score of a state at once. After
 each step a window keeps only the lanes whose score can still end on the
 target by the horizon. That window is the only difference between the two
 models: the homogeneous one also clamps it to the open band (0, score),
-where a homogeneous walk stays until its last step.
+where a homogeneous walk stays until its last step. The windows depend on
+nothing but the scheme, score, horizon and model, so a sweep reads them from
+a schedule, ``_windows``, memoized for the last such key: all the sweeps of
+one ``optimize`` share one.
 
 Three readers share the sweep: ``count_homogeneous`` reads the lane of the
 target score at the last length, a free score summing this over
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .alignments import ScoringScheme
@@ -140,6 +144,43 @@ def lane_width(scheme: ScoringScheme, score: int, horizon: int) -> int:
     return max(1, math.comb(horizon, min(qcap, horizon // 2)).bit_length())
 
 
+@lru_cache(maxsize=1)
+def _windows(scheme: ScoringScheme, score: int, horizon: int,
+             model: str) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The window schedule of a ``lane_sweep``: one (shift, keep, base, low, high) per
+    length 1..horizon.
+
+    Reading the layer before it, the sweep shifts a state's int down `shift`
+    bits and masks it with `keep`: the previous window, which moves its
+    lowest kept lane to lane 0. The layer it builds starts at mismatch count
+    `base`, and its window keeps low..high. The schedule depends on nothing
+    but the arguments, so it is memoized for the last key only: every sweep
+    of a search shares one key, and a larger cache would let repeated calls
+    in one process skip work that a new process pays for.
+    """
+    s, p = scheme.match_score, scheme.mismatch_penalty
+    per_mismatch = s + p
+    width = lane_width(scheme, score, horizon)
+    schedule = []
+    base, shift, keep = 0, 0, -1
+    for i in range(1, horizon + 1):
+        # keep the prefix scores that can still end on the score by the horizon
+        remaining = horizon - i
+        lo, hi = score - remaining * s, score + remaining * p
+        if model == HOMOGENEOUS:
+            # a homogeneous prefix stays inside the open band (0, score)
+            lo, hi = max(lo, 1), min(hi, score - 1)
+        # the same window in mismatch counts, ceil((i*s - hi) / (s+p)) through
+        # floor((i*s - lo) / (s+p)); lane qlo becomes the new base
+        qlo = max(base, -((hi - i * s) // per_mismatch))
+        qhi = min(i, (i * s - lo) // per_mismatch)
+        schedule.append((shift, keep, base, qlo, qhi))
+        shift = (qlo - base) * width
+        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
+        base = qlo
+    return tuple(schedule)
+
+
 def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringScheme,
                score: int, horizon: int, model: str) -> Iterator[tuple[list[int], int, int, int]]:
     """Prefix counts by state and mismatch count, one layer per length 0..horizon.
@@ -151,9 +192,12 @@ def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringSc
     the window; low..high are the mismatch counts the window keeps, those
     whose score can still end on `score` at the horizon (inside the open band
     (0, score) when homogeneous). The empty start prefix is kept as it is.
+
+    The windows come from ``_windows``, computed once for a run of sweeps
+    that share one (scheme, score, horizon, model). A window that keeps the
+    previous layer's lowest lane shifts nothing, and the step that applies it
+    only masks.
     """
-    s, p = scheme.match_score, scheme.mismatch_penalty
-    per_mismatch = s + p
     # summed over all states no kept lane outgrows width bits (see lane_width), so
     # none carries into the next lane
     width = lane_width(scheme, score, horizon)
@@ -161,30 +205,24 @@ def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringSc
     layer = [0] * size
     layer[start] = 1
     yield layer, 0, 0, 0
-    base, shift, keep = 0, 0, -1
-    for i in range(1, horizon + 1):
+    for shift, keep, base, low, high in _windows(scheme, score, horizon, model):
         nxt = [0] * size
-        for to0, to1, v in zip(step0, step1, layer):
-            if v:
-                # the previous step's window, applied as the layer is read
-                v = (v >> shift) & keep
+        # the previous step's window, applied as the layer is read
+        if shift:
+            for to0, to1, v in zip(step0, step1, layer):
                 if v:
-                    nxt[to1] += v
-                    nxt[to0] += v << width
-        # keep the prefix scores that can still end on the score by the horizon
-        remaining = horizon - i
-        lo, hi = score - remaining * s, score + remaining * p
-        if model == HOMOGENEOUS:
-            # a homogeneous prefix stays inside the open band (0, score)
-            lo, hi = max(lo, 1), min(hi, score - 1)
-        # the same window in mismatch counts, ceil((i*s - hi) / (s+p)) through
-        # floor((i*s - lo) / (s+p)); lane qlo becomes the new base
-        qlo = max(base, -((hi - i * s) // per_mismatch))
-        qhi = min(i, (i * s - lo) // per_mismatch)
-        yield nxt, base, qlo, qhi
-        shift = (qlo - base) * width
-        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
-        base = qlo
+                    v = (v >> shift) & keep
+                    if v:
+                        nxt[to1] += v
+                        nxt[to0] += v << width
+        else:
+            for to0, to1, v in zip(step0, step1, layer):
+                if v:
+                    v &= keep
+                    if v:
+                        nxt[to1] += v
+                        nxt[to0] += v << width
+        yield nxt, base, low, high
         layer = nxt
 
 

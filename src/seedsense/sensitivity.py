@@ -100,68 +100,78 @@ def decimal_ratio(numerator: int, denominator: int, digits: int = 6) -> str:
 class _HitAutomaton:
     """Left-to-right scanner for a detection strategy.
 
-    States are (live windows, occurrences still needed); state 0 is the
-    absorbing accept. Bit d of the live set marks the seed window that
-    started d letters ago and still matches every required position read so
-    far (the Shift-And state of Baeza-Yates & Gonnet 1992). On each letter
-    every window moves one position on and a new one opens; a mismatch kills
-    the windows whose current position is required. A window that reaches
-    the last position fires: the occurrence count drops, and only windows
-    that started within the last max_overlap letters stay live, since only
-    they can end far enough away to be the next occurrence.
+    States are (live windows, occurrences still needed), keyed on the one int
+    ``remaining << span | live``; state 0, key 0, is the absorbing accept.
+    Bit d of the live set marks the seed window that started d letters ago
+    and still matches every required position read so far (the Shift-And
+    state of Baeza-Yates & Gonnet 1992). On each letter every window moves
+    one position on and a new one opens; a mismatch kills the windows whose
+    current position is required. A window that reaches the last position
+    fires: the occurrence count drops, and only windows that started within
+    the last max_overlap letters stay live, since only they can end far
+    enough away to be the next occurrence.
+
+    A build given a `cap` stops once it has found more states than that. Its
+    size is then above the cap and its tables are partial: it only tells the
+    caller that the full scanner is larger.
     """
 
-    def __init__(self, strategy: DetectionStrategy):
+    def __init__(self, strategy: DetectionStrategy, cap: int | None = None):
         span = strategy.seed.span
         last = 1 << (span - 1)
         # bit d is set when seed position d is a don't-care
         survives_mismatch = ~strategy.seed.required_mask & ((last << 1) - 1)
         after_fire = (1 << strategy.max_overlap) - 1
-        index: dict[tuple[int, int] | None, int] = {}
-        states: list[tuple[int, int] | None] = []
-
-        def intern(state: tuple[int, int] | None) -> int:
-            sid = index.get(state)
-            if sid is None:
-                sid = index[state] = len(states)
-                states.append(state)
-            return sid
-
-        accept = intern(None)
-        start = intern((0, strategy.required_occurrences))
-        step0: list[int] = [accept]
-        step1: list[int] = [accept]
+        occurrence = 1 << span  # one occurrence still needed, in a state key
+        start = strategy.required_occurrences << span
+        keys = [0, start]
+        index = {0: 0, start: 1}
+        step0: list[int] = [0]
+        step1: list[int] = [0]
+        limit = math.inf if cap is None else cap
         pos = 1
-        while pos < len(states):
-            live, remaining = states[pos]  # type: ignore[misc]
+        while pos < len(keys) <= limit:
+            key = keys[pos]
+            live = key & (occurrence - 1)
             moved = live << 1 | 1
             for table, windows in ((step0, moved & survives_mismatch), (step1, moved)):
                 if not windows & last:
-                    target = intern((windows, remaining))
-                elif remaining == 1:
-                    target = accept
+                    target = key - live | windows
+                elif key < 2 * occurrence:
+                    target = 0  # the last occurrence needed fired
                 else:
-                    target = intern((windows & after_fire, remaining - 1))
-                table.append(target)
+                    target = key - live - occurrence | windows & after_fire
+                sid = index.get(target)
+                if sid is None:
+                    sid = index[target] = len(keys)
+                    keys.append(target)
+                table.append(sid)
             pos += 1
         self.step0 = step0
         self.step1 = step1
-        self.accept = accept
-        self.start = start
-        self.size = len(states)
+        self.accept = 0
+        self.start = 1
+        self.size = len(keys)
 
 
 def _scanner(strategy: DetectionStrategy) -> _HitAutomaton:
     """The smaller of the scanners of the strategy and of its mirror, its own on a tie.
 
     Reversal maps each alignment model onto itself and preserves detection,
-    so both scanners give the same hit counts.
+    so both scanners give the same hit counts. A palindromic seed is its own
+    mirror, so its mirror is not built. Any other mirror is built with a cap
+    of one state fewer than the strategy's own: its build stops as soon as it
+    cannot be the smaller.
     """
     own = _HitAutomaton(strategy)
-    mirror = _HitAutomaton(DetectionStrategy(Seed(strategy.seed.pattern[::-1]),
+    pattern = strategy.seed.pattern
+    if pattern == pattern[::-1]:
+        return own
+    cap = own.size - 1
+    mirror = _HitAutomaton(DetectionStrategy(Seed(pattern[::-1]),
                                              strategy.required_occurrences,
-                                             strategy.max_overlap))
-    return mirror if mirror.size < own.size else own
+                                             strategy.max_overlap), cap)
+    return mirror if mirror.size <= cap else own
 
 
 def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,

@@ -34,8 +34,8 @@ def serial_pool(monkeypatch):
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, width):
+            sizes.append(width)
 
         def __enter__(self):
             return self
@@ -48,5 +48,5 @@ def serial_pool(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(pool_mod, "_executor", SerialPool)
     return sizes

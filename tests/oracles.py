@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 from seedsense.alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
+from seedsense.counting import HOMOGENEOUS, lane_width
 
 DEFAULT_REJECTION_LIMIT = 20
 DEFAULT_ATTEMPT_BUDGET = 1_000_000
@@ -108,6 +109,38 @@ def unrank_by_walk(population, ranks):
                 u += 1
             bit <<= 1
         yield bits
+
+
+def inline_lane_sweep(step0, step1, start, scheme, score, horizon, model):
+    """``counting.lane_sweep`` with each step's window computed inline, as it reaches
+    the step, and every window applied by a shift and a mask, shift 0 included."""
+    s, p = scheme.match_score, scheme.mismatch_penalty
+    per_mismatch = s + p
+    width = lane_width(scheme, score, horizon)
+    size = len(step0)
+    layer = [0] * size
+    layer[start] = 1
+    yield layer, 0, 0, 0
+    base, shift, keep = 0, 0, -1
+    for i in range(1, horizon + 1):
+        nxt = [0] * size
+        for to0, to1, v in zip(step0, step1, layer):
+            if v:
+                v = (v >> shift) & keep
+                if v:
+                    nxt[to1] += v
+                    nxt[to0] += v << width
+        remaining = horizon - i
+        lo, hi = score - remaining * s, score + remaining * p
+        if model == HOMOGENEOUS:
+            lo, hi = max(lo, 1), min(hi, score - 1)
+        qlo = max(base, -((hi - i * s) // per_mismatch))
+        qhi = min(i, (i * s - lo) // per_mismatch)
+        yield nxt, base, qlo, qhi
+        shift = (qlo - base) * width
+        keep = (1 << (qhi - qlo + 1) * width) - 1 if qhi >= qlo else 0
+        base = qlo
+        layer = nxt
 
 
 def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:

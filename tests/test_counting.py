@@ -5,14 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous
 from seedsense.counting import (
+    MODELS,
     Composition,
     CountTableD,
     count_homogeneous,
     count_unconstrained,
     feasible_composition,
+    lane_sweep,
 )
 
-from oracles import fixed_score_population, suffix_walk_count, walk_homogeneous
+from oracles import fixed_score_population, inline_lane_sweep, suffix_walk_count, walk_homogeneous
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -183,3 +185,48 @@ class TestCountProperties:
             walk_homogeneous(bits, n, s, p, bits.bit_count() * s - (n - bits.bit_count()) * p)
             for bits in range(1 << n))
         assert count_homogeneous(scheme, n) == expected
+
+
+# random scanners of 1-6 states; a single state is the sweep without a scanner, [0], [0], 0
+scanners = st.integers(1, 6).flatmap(lambda size: st.tuples(
+    st.lists(st.integers(0, size - 1), min_size=size, max_size=size),
+    st.lists(st.integers(0, size - 1), min_size=size, max_size=size),
+    st.integers(0, size - 1)))
+
+
+class TestLaneSweepSchedule:
+    """``lane_sweep`` reads its windows from a schedule memoized per (scheme,
+    score, horizon, model) and skips the shift of a window that keeps the
+    lowest lane; each yield equals the sweep that computes every window
+    inline and always shifts (``oracles.inline_lane_sweep``)."""
+
+    @staticmethod
+    def assert_same_sweep(scanner, scheme, score, horizon, model):
+        args = (*scanner, scheme, score, horizon, model)
+        assert list(lane_sweep(*args)) == list(inline_lane_sweep(*args)), args
+
+    def test_every_small_scheme(self):
+        # each call takes a new key, so none reads the schedule memoized for another
+        for s in range(1, 6):
+            for p in range(1, 6):
+                for model in MODELS:
+                    for horizon in range(1, 65):
+                        q = horizon // 4
+                        score = (horizon - q) * s - q * p
+                        self.assert_same_sweep(([0], [0], 0), ScoringScheme(s, p), score,
+                                               horizon, model)
+
+    @properties
+    @given(scanner=scanners, data=st.data())
+    def test_random_scanners_and_alternating_keys(self, scanner, data):
+        # two keys swept in turn: every sweep must run its own key's schedule
+        keys = []
+        for label in ("first", "second"):
+            s = data.draw(st.integers(1, 5), label=f"{label} s")
+            p = data.draw(st.integers(1, 5), label=f"{label} p")
+            horizon = data.draw(st.integers(1, 64), label=f"{label} horizon")
+            score = data.draw(st.integers(-horizon * p, horizon * s), label=f"{label} score")
+            model = data.draw(st.sampled_from(MODELS), label=f"{label} model")
+            keys.append((ScoringScheme(s, p), score, horizon, model))
+        for key in keys + keys:
+            self.assert_same_sweep(scanner, *key)

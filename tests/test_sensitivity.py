@@ -341,6 +341,44 @@ class TestHitAutomaton:
     def test_scanner_is_the_smaller(self, pattern, occurrences, overlap, size):
         assert _scanner(strategy(pattern, occurrences, overlap)).size == size
 
+    def test_capped_build_stops_past_the_cap(self):
+        # each state read adds at most two, so a capped build ends within two of its cap
+        full = _HitAutomaton(strategy("110001010111101"))
+        assert full.size == 172
+        for cap in (0, 1, 10, 89, 170):
+            assert cap < _HitAutomaton(strategy("110001010111101"), cap).size <= cap + 2
+        capped = _HitAutomaton(strategy("110001010111101"), 172)
+        assert (capped.size, capped.step0, capped.step1) == (172, full.step0, full.step1)
+
+    @staticmethod
+    def builds(monkeypatch):
+        """Record the cap of every scanner build ``_scanner`` starts."""
+        caps = []
+
+        class Recorded(_HitAutomaton):
+            def __init__(self, strategy, cap=None):
+                caps.append(cap)
+                super().__init__(strategy, cap)
+
+        monkeypatch.setattr(sensitivity_mod, "_HitAutomaton", Recorded)
+        return caps
+
+    def test_palindrome_builds_one_scanner(self, monkeypatch):
+        caps = self.builds(monkeypatch)
+        _scanner(strategy("1101011", 2, 3))
+        assert caps == [None]
+
+    @pytest.mark.parametrize("pattern", ["10110011", "11001101"])
+    def test_tie_goes_to_the_own_scanner(self, monkeypatch, pattern):
+        # the seed and its mirror both have 24 states, in different tables
+        own = _HitAutomaton(strategy(pattern))
+        mirror = _HitAutomaton(strategy(pattern[::-1]))
+        assert own.size == mirror.size == 24 and own.step0 != mirror.step0
+        caps = self.builds(monkeypatch)
+        got = _scanner(strategy(pattern))
+        assert caps == [None, 23]
+        assert (got.step0, got.step1) == (own.step0, own.step1)
+
     def test_accepts_exactly_the_detected_prefixes(self):
         rng = random.Random(77)
         for _ in range(12):
@@ -510,6 +548,25 @@ class TestMonteCarlo:
             mc_estimate(query("11", S13, 5, 2, UNIFORM), 10, RandomStream(0))
         with pytest.raises(ValueError):
             mc_estimate(query("11", S11, 5, 3), 0, RandomStream(0))
+
+
+class TestScannerProperties:
+    """Seeds of span <= 14, up to 3 occurrences with any overlap: ``_scanner``,
+    which caps the mirror's build, returns the smaller of the two full builds,
+    the strategy's own on a tie, table for table."""
+
+    @settings(deadline=None, derandomize=True)
+    @given(interior=st.lists(st.sampled_from("01"), max_size=12), single=st.booleans(),
+           occurrences=st.integers(1, 3), data=st.data())
+    def test_scanner_is_the_smaller_full_build(self, interior, single, occurrences, data):
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        overlap = data.draw(st.integers(0, len(pattern) - 1), label="overlap")
+        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
+        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
+        expected = mirror if mirror.size < own.size else own
+        got = _scanner(strategy(pattern, occurrences, overlap))
+        assert (got.size, got.start, got.accept, got.step0, got.step1) == \
+            (expected.size, expected.start, expected.accept, expected.step0, expected.step1)
 
 
 class TestProfileProperties:

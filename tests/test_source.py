@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import seedsense
@@ -24,6 +26,19 @@ def test_one_process_pool():
     users = sorted(path.name for path in PACKAGE.glob("*.py")
                    if "ProcessPoolExecutor" in path.read_text())
     assert users == ["_pool.py"], f"modules that open a process pool: {users}"
+
+
+def test_trivial_command_loads_no_process_pool():
+    # a command that opens no pool does not import concurrent.futures: it is
+    # imported when a pool opens, and loading it costs every command's start-up
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from seedsense.cli import run; "
+            "run(sys.argv[2:]); print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), "count",
+                           "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "[]"]
 
 
 def test_one_count_recurrence():
