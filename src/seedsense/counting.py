@@ -26,9 +26,9 @@ counts (see ``sampling``); and the sensitivity program reads hits and
 population per requested length (see ``sensitivity``).
 
 ``CountTableD`` counts the same walks backward, as suffixes, in a dense
-table. The engine does not use it: it is the independent reference that
-``selfcheck`` compares the sweep's completion counts against, and ``curve``
-filters empty lengths with it.
+table. Its last reader is ``curve``, which filters empty lengths with it,
+although the profile sweep already finds every population. It stays while
+``benchmarks/tracing.py`` wraps ``cli.CountTableD`` by name to time it.
 
 Counts are exact Python integers; they outgrow 64 bits around length 70 for
 dense schemes.

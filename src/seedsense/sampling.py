@@ -57,6 +57,7 @@ from .alignments import ScoringScheme
 from .counting import (
     HOMOGENEOUS,
     InfeasibleScore,
+    count_homogeneous,
     feasible_composition,
     lane,
     lane_sweep,
@@ -344,8 +345,9 @@ def _sample(scheme: ScoringScheme, n: int, score: int | None, count: int,
         raise ValueError("length must be >= 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if score is not None:
-        _population(scheme, n, score)  # reject an infeasible score before any worker starts
+    # an infeasible score fails before any worker starts; counting it builds no rows
+    if score is not None and count_homogeneous(scheme, n, score) == 0:
+        raise InfeasibleScore.empty(scheme, n, score, HOMOGENEOUS)
     bits = map_strided(_draw, range(count), workers, scheme, n, score, stream.seed)
     # the str(Alignment) text, letter b_1 first: the binary numeral behind a
     # leading 1 that keeps its zeros, reversed, with "0b1" dropped

@@ -1,12 +1,12 @@
 """Exhaustive spaced-seed enumeration and ranking by exact sensitivity.
 
-Candidate evaluation is embarrassingly parallel; results are merged and
-sorted by exact probability (descending) with lexicographic pattern order as
-the tie-break, so parallel and serial runs rank identically. A seed and its
-reversal always have the same hit probability (reversal is a bijection on
-both alignment models that preserves detection), so only one of each mirror
-pair is evaluated, and that evaluation sweeps the smaller of the pair's two
-scanners (see ``sensitivity._scanner``).
+Candidate evaluation is embarrassingly parallel. All candidates share one
+population, counted before any worker starts, so they are ranked by hit count
+(descending), then by pattern, and parallel and serial runs rank identically.
+A seed and its reversal always have the same hit probability (reversal is a
+bijection on both alignment models that preserves detection), so only one of
+each mirror pair is evaluated, and that evaluation sweeps the smaller of the
+pair's two scanners (see ``sensitivity._scanner``).
 """
 
 from __future__ import annotations
@@ -90,13 +90,15 @@ def seed_count(weight: int, max_span: int) -> int:
     return sum(math.comb(span - 2, weight - 2) for span in range(weight, max_span + 1))
 
 
-def _evaluate_patterns(patterns: list[str], spec: SearchSpec) -> list[tuple[int, int]]:
-    out = []
+def _hit_counts(patterns: list[str], spec: SearchSpec, population: int) -> list[int]:
+    hits = []
     for pattern in patterns:
         report = hit_probability_profile(DetectionStrategy(Seed(pattern)), spec.scheme,
                                          spec.score, [spec.length], spec.model)[0]
-        out.append((report.numerator, report.denominator))
-    return out
+        if report.denominator != population:
+            raise RuntimeError(f"{pattern}: population {report.denominator}, not {population}")
+        hits.append(report.numerator)
+    return hits
 
 
 def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
@@ -106,20 +108,17 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     usable CPU (default: one per usable CPU); the ranking is the same for any count.
     """
     started = time.perf_counter()
-    # an empty population fails every candidate alike, so it fails before any worker starts
     count = count_homogeneous if spec.model == HOMOGENEOUS else count_unconstrained
-    if count(spec.scheme, spec.length, spec.score) == 0:
+    population = count(spec.scheme, spec.length, spec.score)
+    # an empty population fails every candidate alike, so it fails before any worker starts
+    if population == 0:
         raise InfeasibleScore.empty(spec.scheme, spec.length, spec.score, spec.model)
     patterns = [seed.pattern for seed in enumerate_seeds(spec.weight, spec.max_span)]
     representatives = sorted({min(p, p[::-1]) for p in patterns})
     # no thread count: as many workers as there are candidates, capped at the usable CPUs
     workers = len(representatives) if threads is None else threads
-    results = map_strided(_evaluate_patterns, representatives, workers, spec)
-    evaluated = dict(zip(representatives, results))
-    ranked = []
-    for pattern in patterns:
-        num, den = evaluated[min(pattern, pattern[::-1])]
-        ranked.append(RankedSeed(Seed(pattern), num, den))
-    ranked.sort(key=lambda r: (Fraction(-r.numerator, r.denominator), r.seed.pattern))
-    return RankedSeeds(tuple(ranked[: spec.top_k]), len(patterns),
-                       time.perf_counter() - started)
+    hits = dict(zip(representatives,
+                    map_strided(_hit_counts, representatives, workers, spec, population)))
+    kept = sorted(patterns, key=lambda p: (-hits[min(p, p[::-1])], p))[: spec.top_k]
+    entries = tuple(RankedSeed(Seed(p), hits[min(p, p[::-1])], population) for p in kept)
+    return RankedSeeds(entries, len(patterns), time.perf_counter() - started)

@@ -1,8 +1,8 @@
 """Brute-force consistency suites tying the fast paths to their oracles.
 
 Each check compares an engineered implementation against a definitionally
-direct one (exhaustive enumeration, literal segment scans, the backward
-suffix table). They back the CLI `selfcheck` command and the test suite.
+direct one (exhaustive enumeration, literal segment scans). They back the
+CLI `selfcheck` command and the test suite.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .alignments import (
     seed_detects,
     strategy_detects,
 )
-from .counting import CountTableD, count_homogeneous, positive_scores
-from .sampling import RandomStream, _population, sample_fixed, sample_free
+from .counting import count_homogeneous, positive_scores
+from .sampling import RandomStream, _population, _unrank, sample_fixed, sample_free
 
 CHECK_SCHEMES = (ScoringScheme(1, 1), ScoringScheme(1, 3), ScoringScheme(2, 3))
 
@@ -93,11 +93,11 @@ def check_low_culmination_guard() -> CheckResult:
     """Regression: penalty larger than (score - match) must not zero the count.
 
     With scheme (1,3) and target score 2 the two-step all-match walk exists,
-    so the suffix count from the origin and the engine's count must both be 1.
+    so the enumeration and the engine's count must both find 1.
     """
-    got = CountTableD(ScoringScheme(1, 3), 2, 2).count(0, 2)
+    got = len(enumerate_homogeneous(ScoringScheme(1, 3), 2, 2))
     if got != 1:
-        return CheckResult("low-culmination-guard", False, f"count(0, 2) = {got}, want 1")
+        return CheckResult("low-culmination-guard", False, f"enumeration = {got}, want 1")
     got = count_homogeneous(ScoringScheme(1, 3), 2, 2)
     if got != 1:
         return CheckResult("low-culmination-guard", False,
@@ -105,30 +105,29 @@ def check_low_culmination_guard() -> CheckResult:
     return CheckResult("low-culmination-guard", True, "count(0, 2) == 1 for (1,3) score 2")
 
 
-def check_prefix_flip_identity(max_length: int) -> CheckResult:
-    """Band-confined prefix counts equal flipped suffix counts.
+def check_sampler_bijection(max_length: int) -> CheckResult:
+    """Unranking is a bijection from the ranks onto the population sampled.
 
-    The sampler's completion count after a match at step j, with u
-    mismatches placed, is a forward prefix count read through the flip. It
-    is compared with the backward suffix count ``count(y, n - j - 1)`` from
-    the ordinate y the match reaches, taken as 0 when y is not positive.
+    For every nonempty fixed-score class and every free population,
+    ``_unrank`` of every rank below the population's size, walked letter by
+    letter (cold: no samples expected) and by block tables (hot: a huge
+    sample count), gives every enumerated member exactly once.
     """
     for scheme in CHECK_SCHEMES:
-        s, p = scheme.match_score, scheme.mismatch_penalty
-        for n in range(2, max_length + 1):
-            for target in _feasible_scores(scheme, n):
-                table = CountTableD(scheme, target, n)
-                if not table.count(0, n):
-                    continue  # an empty population has no sampler to check
-                [(_, steps)] = _population(scheme, n, target)
-                for j, after_match in enumerate(steps):
-                    for u, got in enumerate(after_match):
-                        y = (j + 1) * s - u * (s + p)
-                        if got != (table.count(y, n - j - 1) if y > 0 else 0):
-                            return CheckResult(
-                                "prefix-flip-identity", False,
-                                f"(n={n}, score={target}, j={j}, u={u}, {scheme})")
-    return CheckResult("prefix-flip-identity", True, f"lengths to {max_length}")
+        for n in range(1, max_length + 1):
+            free = enumerate_homogeneous(scheme, n)
+            populations = {None: [a.bits for a in free]}  # the free one, then one per score
+            for a in free:
+                populations.setdefault(score(a, scheme), []).append(a.bits)
+            for target, members in populations.items():
+                population = _population(scheme, n, target)
+                total = sum(size for size, _ in population)
+                for count in (0, 1 << 64):
+                    if sorted(_unrank(population, range(total), count)) != sorted(members):
+                        return CheckResult("sampler-bijection", False,
+                                           f"(n={n}, score={target}, {scheme}, count={count})")
+    return CheckResult("sampler-bijection", True,
+                       f"every nonempty class and free population to length {max_length}")
 
 
 def check_single_occurrence_consistency(cases: int = 100, rng_seed: int = 6) -> CheckResult:
@@ -182,7 +181,7 @@ def run_selfcheck(max_length: int = 14) -> list[CheckResult]:
         check_counts_match_enumeration(max_length),
         check_score_partition(max_length),
         check_low_culmination_guard(),
-        check_prefix_flip_identity(max_length),
+        check_sampler_bijection(max_length),
         check_single_occurrence_consistency(),
         check_sampler_validity(),
         check_endpoints_are_matches(max_length),

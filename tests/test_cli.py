@@ -6,6 +6,7 @@ import json
 import pytest
 
 import seedsense.cli as cli_mod
+import seedsense.sampling as sampling_mod
 from seedsense.cli import run
 from seedsense.selfcheck import CheckResult
 
@@ -139,6 +140,17 @@ class TestGenerate:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
         assert serial_pool == []
+
+    def test_fixed_score_population_built_once(self, capsys, monkeypatch):
+        # the infeasibility check counts the class; only the draw builds its rows
+        built = []
+        build = sampling_mod._population
+        monkeypatch.setattr(sampling_mod, "_population",
+                            lambda *args: built.append(args) or build(*args))
+        code, _, _ = invoke(capsys, "generate", "--length", "12", "--score", "8",
+                            "--samples", "5", "--threads", "1")
+        assert code == 0
+        assert len(built) == 1
 
     def test_default_threads_one_per_cpu_for_large_batches(self, capsys, serial_pool,
                                                             usable_cpus):

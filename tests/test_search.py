@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import seedsense.search as search_mod
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous, seed_detects
 from seedsense.counting import InfeasibleScore
 from seedsense.alignments import DetectionStrategy
 from seedsense.search import RankedSeeds, SearchSpec, enumerate_seeds, find_optimal, seed_count
-from seedsense.sensitivity import HOMOGENEOUS, UNIFORM, SensitivityQuery, hit_probability
+from seedsense.sensitivity import (
+    HOMOGENEOUS,
+    UNIFORM,
+    SensitivityQuery,
+    SensitivityReport,
+    hit_probability,
+)
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -125,3 +133,42 @@ class TestFindOptimal:
     def test_infeasible_propagates(self):
         with pytest.raises(InfeasibleScore):
             find_optimal(SearchSpec(2, 3, S13, 5, 2), threads=1)
+
+    @settings(deadline=None, derandomize=True)
+    @given(s=st.integers(1, 3), p=st.integers(1, 3), weight=st.integers(2, 4),
+           model=st.sampled_from([HOMOGENEOUS, UNIFORM]), data=st.data())
+    def test_ranking_equals_sorted_standalone_probabilities(self, s, p, weight, model, data):
+        # the integer ranking against its definition: every candidate's standalone
+        # report, sorted by exact probability (descending), then by pattern
+        max_span = data.draw(st.integers(weight, 8), label="max_span")
+        n = data.draw(st.integers(1, 14), label="length")
+        # a homogeneous score is positive
+        q = data.draw(st.integers(0, (n * s - 1) // (s + p) if model == HOMOGENEOUS else n),
+                      label="mismatches")
+        scheme = ScoringScheme(s, p)
+        spec = SearchSpec(weight, max_span, scheme, n, (n - q) * s - q * p, model,
+                          top_k=seed_count(weight, max_span))
+        try:
+            reports = [hit_probability(SensitivityQuery(DetectionStrategy(seed), scheme, n,
+                                                        spec.score, model))
+                       for seed in enumerate_seeds(weight, max_span)]
+        except InfeasibleScore:
+            with pytest.raises(InfeasibleScore):
+                find_optimal(spec, threads=1)
+            return
+        reports.sort(key=lambda r: (Fraction(-r.numerator, r.denominator),
+                                    r.query.strategy.seed.pattern))
+        ranked = find_optimal(spec, threads=1)
+        assert [(e.seed, e.numerator, e.denominator) for e in ranked.entries] == \
+            [(r.query.strategy.seed, r.numerator, r.denominator) for r in reports]
+
+    def test_miscounted_population_raises(self, monkeypatch):
+        # a sweep that reports another population than the one counted up front
+        profile = search_mod.hit_probability_profile
+
+        def miscounted(*args):
+            return [SensitivityReport(r.query, r.numerator, r.denominator + 1)
+                    for r in profile(*args)]
+        monkeypatch.setattr(search_mod, "hit_probability_profile", miscounted)
+        with pytest.raises(RuntimeError, match="population"):
+            find_optimal(SearchSpec(3, 6, S11, 12, 4, HOMOGENEOUS), threads=1)

@@ -42,13 +42,12 @@ def test_trivial_command_loads_no_process_pool():
 
 
 def test_one_count_recurrence():
-    # every walk count comes from one sweep: the backward table is only the
-    # reference selfcheck compares against and curve's emptiness filter, and
-    # binomials count only the uniform model's population and, in search.py,
-    # the candidate seeds
+    # every walk count comes from one sweep: the backward table is only curve's
+    # emptiness filter, and binomials count only the uniform model's population
+    # and, in search.py, the candidate seeds
     table_users = sorted(path.name for path in PACKAGE.glob("*.py")
                          if "CountTableD" in path.read_text())
-    assert set(table_users) <= {"counting.py", "cli.py", "selfcheck.py"}, table_users
+    assert set(table_users) <= {"counting.py", "cli.py"}, table_users
     comb_users = sorted(path.name for path in PACKAGE.glob("*.py")
                         if "math.comb" in path.read_text())
     assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
