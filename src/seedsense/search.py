@@ -5,8 +5,9 @@ population, counted before any worker starts, so they are ranked by hit count
 (descending), then by pattern, and parallel and serial runs rank identically.
 A seed and its reversal always have the same hit probability (reversal is a
 bijection on both alignment models that preserves detection), so only one of
-each mirror pair is evaluated, and that evaluation sweeps the smaller of the
-pair's two scanners (see ``sensitivity._scanner``).
+each mirror pair is evaluated, and that evaluation builds and sweeps one
+scanner, the mirror's when the seed's required positions sit past its
+center (see ``sensitivity._scanner``).
 """
 
 from __future__ import annotations

@@ -23,8 +23,9 @@ from .alignments import (
     seed_detects,
     strategy_detects,
 )
-from .counting import count_homogeneous, positive_scores
+from .counting import HOMOGENEOUS, UNIFORM, count_homogeneous, positive_scores
 from .sampling import RandomStream, _population, _unrank, sample_fixed, sample_free
+from .sensitivity import hit_probability_profile
 
 CHECK_SCHEMES = (ScoringScheme(1, 1), ScoringScheme(1, 3), ScoringScheme(2, 3))
 
@@ -40,6 +41,13 @@ def _feasible_scores(scheme: ScoringScheme, n: int) -> list[int]:
     s, p = scheme.match_score, scheme.mismatch_penalty
     return [m * s - (n - m) * p for m in range(n, -1, -1)
             if m * s - (n - m) * p >= 1]
+
+
+def _random_seed(rng: random.Random, max_span: int) -> Seed:
+    """A canonical seed of random span in [1, max_span] and random interior."""
+    span = rng.randint(1, max_span)
+    interior = "".join(rng.choice("01") for _ in range(max(0, span - 2)))
+    return Seed("1" + interior + "1" if span > 1 else "1")
 
 
 def check_homogeneity_criteria_agree(max_length: int) -> CheckResult:
@@ -102,7 +110,8 @@ def check_low_culmination_guard() -> CheckResult:
     if got != 1:
         return CheckResult("low-culmination-guard", False,
                            f"count_homogeneous = {got}, want 1")
-    return CheckResult("low-culmination-guard", True, "count(0, 2) == 1 for (1,3) score 2")
+    return CheckResult("low-culmination-guard", True,
+                       "enumeration and count_homogeneous find 1 at length 2, (1,3) score 2")
 
 
 def check_sampler_bijection(max_length: int) -> CheckResult:
@@ -130,16 +139,53 @@ def check_sampler_bijection(max_length: int) -> CheckResult:
                        f"every nonempty class and free population to length {max_length}")
 
 
+def check_hits_match_enumeration(max_length: int, rng_seed: int = 11) -> CheckResult:
+    """Hit counts and populations of the sensitivity program equal enumeration.
+
+    Four random strategies per scheme (span <= 6, 1-3 occurrences, any
+    overlap) are checked at every length and score: against the enumerated
+    homogeneous alignments to max_length, and against every sequence of the
+    score, the ``all`` model, to length 12.
+    """
+    rng = random.Random(rng_seed)
+    cases = 0
+    for scheme in CHECK_SCHEMES:
+        strategies = []
+        for _ in range(4):
+            seed = _random_seed(rng, 6)
+            strategies.append(DetectionStrategy(seed, rng.randint(1, 3),
+                                                rng.randint(0, seed.span - 1)))
+        for n in range(1, max_length + 1):
+            members: dict[tuple[str, int], list[Alignment]] = {}
+            for a in enumerate_homogeneous(scheme, n):
+                members.setdefault((HOMOGENEOUS, score(a, scheme)), []).append(a)
+            if n <= 12:
+                for bits in range(1 << n):
+                    a = Alignment(n, bits)
+                    members.setdefault((UNIFORM, score(a, scheme)), []).append(a)
+            for (model, target), population in members.items():
+                for strategy in strategies:
+                    report = hit_probability_profile(strategy, scheme, target, [n], model)[0]
+                    got = (report.numerator, report.denominator)
+                    expected = (sum(strategy_detects(strategy, a) for a in population),
+                                len(population))
+                    if got != expected:
+                        return CheckResult("hits-match-enumeration", False,
+                                           f"{strategy} at (n={n}, score={target}, {model}) "
+                                           f"under {scheme}: {got} != {expected}")
+                    cases += 1
+    return CheckResult("hits-match-enumeration", True,
+                       f"{cases} (strategy, length, score, model) cases to length {max_length}")
+
+
 def check_single_occurrence_consistency(cases: int = 100, rng_seed: int = 6) -> CheckResult:
     """A one-occurrence strategy detects exactly when the bare seed does."""
     rng = random.Random(rng_seed)
     for _ in range(cases):
-        span = rng.randint(1, 8)
-        interior = "".join(rng.choice("01") for _ in range(max(0, span - 2)))
-        seed = Seed("1" + interior + "1" if span > 1 else "1")
+        seed = _random_seed(rng, 8)
         n = rng.randint(1, 16)
         a = Alignment(n, rng.getrandbits(n))
-        omega = rng.randint(0, span - 1)
+        omega = rng.randint(0, seed.span - 1)
         strategy = DetectionStrategy(seed, 1, omega)
         if strategy_detects(strategy, a) != seed_detects(seed, a):
             return CheckResult("single-occurrence-consistency", False,
@@ -182,6 +228,7 @@ def run_selfcheck(max_length: int = 14) -> list[CheckResult]:
         check_score_partition(max_length),
         check_low_culmination_guard(),
         check_sampler_bijection(max_length),
+        check_hits_match_enumeration(max_length),
         check_single_occurrence_consistency(),
         check_sampler_validity(),
         check_endpoints_are_matches(max_length),

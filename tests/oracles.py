@@ -55,6 +55,21 @@ def subset_detects(bits: int, n: int, pattern: str, occurrences: int, max_overla
     return False
 
 
+def moore_class_count(step0: list[int], step1: list[int], accept: int) -> int:
+    """States of the minimal automaton equivalent to a complete one whose states
+    are all reachable: Moore's partition refinement, accept against the rest first,
+    then split by the classes of the two successors until no class splits."""
+    classes = [int(state == accept) for state in range(len(step0))]
+    count = len(set(classes))
+    while True:
+        signatures: dict[tuple[int, int, int], int] = {}
+        classes = [signatures.setdefault((c, classes[to0], classes[to1]), len(signatures))
+                   for c, to0, to1 in zip(classes, step0, step1)]
+        if len(signatures) == count:
+            return count
+        count = len(signatures)
+
+
 def fixed_score_population(n: int, s: int, p: int, score: int) -> list[int]:
     """All bit patterns of length n with the given total score."""
     m, rem = divmod(score + n * p, s + p)

@@ -378,4 +378,4 @@ class TestSelfcheckCommand:
         assert code == 0
         lines = out.splitlines()
         assert all(line.startswith(("PASS", "#")) for line in lines)
-        assert lines[-1].startswith("# 8/8")
+        assert lines[-1].startswith("# 9/9")

@@ -24,7 +24,7 @@ from seedsense.sensitivity import (
     mc_estimate,
 )
 
-from oracles import hit_fractions, subset_detects
+from oracles import hit_fractions, moore_class_count, subset_detects
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -320,64 +320,45 @@ class TestProfile:
 
 
 class TestHitAutomaton:
-    # beside each pin, the state count of the strategy's Moore-minimal automaton
+    # a single occurrence gives the Moore-minimal automaton; beside each multi-occurrence
+    # pin, the state count of the minimal one
     @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
-        ("1110010110111", 1, 0, 63),        # minimal 59
-        ("111001001010111", 1, 0, 156),     # minimal 142
-        ("110100110010101111", 1, 0, 283),  # minimal 243
-        ("110100110010101111", 2, 17, 565),  # minimal 524
-        ("110100110010101111", 3, 5, 847),  # minimal 727
+        ("1110010110111", 1, 0, 59),
+        ("111001001010111", 1, 0, 142),
+        ("110100110010101111", 1, 0, 243),
+        ("110100110010101111", 2, 17, 525),  # minimal 524
+        ("110100110010101111", 3, 5, 807),  # minimal 727
     ])
     def test_state_counts(self, pattern, occurrences, overlap, size):
         assert _HitAutomaton(strategy(pattern, occurrences, overlap)).size == size
 
-    # the scanner swept is the smaller of the strategy's and its mirror's (the
-    # reversed seed, same occurrences and overlap), the strategy's own on a tie
+    # the scanner swept is the mirror's (the reversed seed, same occurrences and
+    # overlap) when the seed's required positions sit past its center
     @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
-        ("110001010111101", 1, 0, 90),       # its own has 172
-        ("1010110111010001", 1, 0, 95),      # its own; the mirror has 167
-        ("110100110010101111", 2, 17, 397),  # its own has 565
+        ("110001010111101", 1, 0, 70),       # the mirror's; its own has 122
+        ("1010110111010001", 1, 0, 84),      # its own; the mirror has 116
+        ("110100110010101111", 2, 17, 372),  # the mirror's; its own has 525
     ])
-    def test_scanner_is_the_smaller(self, pattern, occurrences, overlap, size):
+    def test_scanner_size(self, pattern, occurrences, overlap, size):
         assert _scanner(strategy(pattern, occurrences, overlap)).size == size
 
-    def test_capped_build_stops_past_the_cap(self):
-        # each state read adds at most two, so a capped build ends within two of its cap
-        full = _HitAutomaton(strategy("110001010111101"))
-        assert full.size == 172
-        for cap in (0, 1, 10, 89, 170):
-            assert cap < _HitAutomaton(strategy("110001010111101"), cap).size <= cap + 2
-        capped = _HitAutomaton(strategy("110001010111101"), 172)
-        assert (capped.size, capped.step0, capped.step1) == (172, full.step0, full.step1)
-
-    @staticmethod
-    def builds(monkeypatch):
-        """Record the cap of every scanner build ``_scanner`` starts."""
-        caps = []
+    @pytest.mark.parametrize("pattern, occurrences, overlap", [
+        ("1101011", 2, 3),              # a palindrome
+        ("110001010111101", 1, 0),      # the mirror's scanner
+        ("1010110111010001", 1, 0),     # its own
+        ("110100110010101111", 3, 5),
+    ])
+    def test_scanner_builds_one_automaton(self, monkeypatch, pattern, occurrences, overlap):
+        built = []
 
         class Recorded(_HitAutomaton):
-            def __init__(self, strategy, cap=None):
-                caps.append(cap)
-                super().__init__(strategy, cap)
+            def __init__(self, strategy):
+                built.append(strategy.seed.pattern)
+                super().__init__(strategy)
 
         monkeypatch.setattr(sensitivity_mod, "_HitAutomaton", Recorded)
-        return caps
-
-    def test_palindrome_builds_one_scanner(self, monkeypatch):
-        caps = self.builds(monkeypatch)
-        _scanner(strategy("1101011", 2, 3))
-        assert caps == [None]
-
-    @pytest.mark.parametrize("pattern", ["10110011", "11001101"])
-    def test_tie_goes_to_the_own_scanner(self, monkeypatch, pattern):
-        # the seed and its mirror both have 24 states, in different tables
-        own = _HitAutomaton(strategy(pattern))
-        mirror = _HitAutomaton(strategy(pattern[::-1]))
-        assert own.size == mirror.size == 24 and own.step0 != mirror.step0
-        caps = self.builds(monkeypatch)
-        got = _scanner(strategy(pattern))
-        assert caps == [None, 23]
-        assert (got.step0, got.step1) == (own.step0, own.step1)
+        _scanner(strategy(pattern, occurrences, overlap))
+        assert len(built) == 1
 
     def test_accepts_exactly_the_detected_prefixes(self):
         rng = random.Random(77)
@@ -551,22 +532,33 @@ class TestMonteCarlo:
 
 
 class TestScannerProperties:
-    """Seeds of span <= 14, up to 3 occurrences with any overlap: ``_scanner``,
-    which caps the mirror's build, returns the smaller of the two full builds,
-    the strategy's own on a tie, table for table."""
+    """Seeds of span <= 14: ``_scanner`` builds the mirror's scanner exactly when
+    the seed's required positions sit past its center, and a single-occurrence
+    scanner, of a seed or of its mirror, has no two equivalent states."""
 
     @settings(deadline=None, derandomize=True)
     @given(interior=st.lists(st.sampled_from("01"), max_size=12), single=st.booleans(),
            occurrences=st.integers(1, 3), data=st.data())
-    def test_scanner_is_the_smaller_full_build(self, interior, single, occurrences, data):
+    def test_mirror_exactly_when_the_seed_leans_right(self, interior, single, occurrences,
+                                                      data):
         pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
         overlap = data.draw(st.integers(0, len(pattern) - 1), label="overlap")
-        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
-        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
-        expected = mirror if mirror.size < own.size else own
+        positions = [i for i, ch in enumerate(pattern) if ch == "1"]
+        leans_right = 2 * sum(positions) > len(positions) * (len(pattern) - 1)
+        expected = _HitAutomaton(strategy(pattern[::-1] if leans_right else pattern,
+                                          occurrences, overlap))
         got = _scanner(strategy(pattern, occurrences, overlap))
         assert (got.size, got.start, got.accept, got.step0, got.step1) == \
             (expected.size, expected.start, expected.accept, expected.step0, expected.step1)
+
+    @settings(deadline=None, derandomize=True)
+    @given(interior=st.lists(st.sampled_from("01"), max_size=12), single=st.booleans())
+    def test_single_occurrence_scanner_is_minimal(self, interior, single):
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        for oriented in (pattern, pattern[::-1]):
+            auto = _HitAutomaton(strategy(oriented))
+            assert moore_class_count(auto.step0, auto.step1, auto.accept) == auto.size, \
+                oriented
 
 
 class TestProfileProperties:
