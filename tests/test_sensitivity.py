@@ -342,13 +342,22 @@ class TestHitAutomaton:
     def test_scanner_size(self, pattern, occurrences, overlap, size):
         assert _scanner(strategy(pattern, occurrences, overlap)).size == size
 
-    @pytest.mark.parametrize("pattern, occurrences, overlap", [
-        ("1101011", 2, 3),              # a palindrome
-        ("110001010111101", 1, 0),      # the mirror's scanner
-        ("1010110111010001", 1, 0),     # its own
-        ("110100110010101111", 3, 5),
+    # on these seeds the rule picks the smaller of the two scanners; beside each, the
+    # state count it had before dominated windows were dropped, which must fall
+    @pytest.mark.parametrize("pattern, occurrences, overlap, size", [
+        ("110001010111101", 1, 0, 90),
+        ("1010110111010001", 1, 0, 95),
+        ("110100110010101111", 2, 17, 397),
     ])
-    def test_scanner_builds_one_automaton(self, monkeypatch, pattern, occurrences, overlap):
+    def test_scanner_is_the_smaller(self, pattern, occurrences, overlap, size):
+        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
+        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
+        assert _scanner(strategy(pattern, occurrences, overlap)).size == \
+            min(own.size, mirror.size) < size
+
+    @staticmethod
+    def builds(monkeypatch):
+        """Record the seed of every scanner build ``_scanner`` starts."""
         built = []
 
         class Recorded(_HitAutomaton):
@@ -357,8 +366,24 @@ class TestHitAutomaton:
                 super().__init__(strategy)
 
         monkeypatch.setattr(sensitivity_mod, "_HitAutomaton", Recorded)
+        return built
+
+    def test_palindrome_builds_one_scanner(self, monkeypatch):
+        # its required positions sit on its center, a tie, so it gets its own
+        built = self.builds(monkeypatch)
+        _scanner(strategy("1101011", 2, 3))
+        assert built == ["1101011"]
+
+    @pytest.mark.parametrize("pattern, occurrences, overlap, oriented", [
+        ("110001010111101", 1, 0, "101111010100011"),  # the mirror's scanner
+        ("1010110111010001", 1, 0, "1010110111010001"),  # its own
+        ("110100110010101111", 3, 5, "111101010011001011"),
+    ])
+    def test_scanner_builds_one_automaton(self, monkeypatch, pattern, occurrences, overlap,
+                                          oriented):
+        built = self.builds(monkeypatch)
         _scanner(strategy(pattern, occurrences, overlap))
-        assert len(built) == 1
+        assert built == [oriented]
 
     def test_accepts_exactly_the_detected_prefixes(self):
         rng = random.Random(77)
