@@ -20,6 +20,9 @@ import click
 
 from .alignments import DetectionStrategy, ScoringScheme, Seed
 from .counting import (
+    HOMOGENEOUS,
+    MODELS,
+    UNIFORM,
     CountTableD,
     InfeasibleScore,
     count_homogeneous,
@@ -29,8 +32,6 @@ from .counting import (
 from .sampling import RandomStream, sample_fixed, sample_free
 from .search import SearchSpec, find_optimal
 from .sensitivity import (
-    HOMOGENEOUS,
-    UNIFORM,
     SensitivityQuery,
     decimal_ratio,
     hit_probability_profile,
@@ -147,7 +148,7 @@ def cli() -> None:
 @cli.command()
 @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
 @click.option("--score", type=int, default=None, help="Total alignment score; omit for any score.")
-@click.option("--model", type=click.Choice([HOMOGENEOUS, UNIFORM]), default=HOMOGENEOUS,
+@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
               show_default=True, help="Alignment population to count.")
 @_scheme_options
 @_output_options
@@ -240,7 +241,7 @@ def _sensitivity_rows(reports, precision: int) -> list[dict]:
 @_strategy_options
 @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
 @click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice([HOMOGENEOUS, UNIFORM]), default=HOMOGENEOUS,
+@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
               show_default=True, help="Alignment population.")
 @_scheme_options
 @_output_options
@@ -261,7 +262,7 @@ def sensitivity(seed_pattern: str, occurrences: int, max_overlap: int, length: i
 @_strategy_options
 @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
 @click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice([HOMOGENEOUS, UNIFORM]), default=HOMOGENEOUS,
+@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
               show_default=True, help="Alignment population.")
 @click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
@@ -295,7 +296,7 @@ def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score
               help="Largest candidate span to enumerate.")
 @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
 @click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice([HOMOGENEOUS, UNIFORM]), default=HOMOGENEOUS,
+@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
               show_default=True, help="Alignment population.")
 @click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
               help="Ranked seeds to keep.")
@@ -332,7 +333,7 @@ def optimize(weight: int, max_span: int, length: int, score: int, model: str, to
 @click.option("--score", type=int, required=True, help="Total alignment score.")
 @click.option("--length-range", "length_range", required=True,
               help="Lengths to sweep, as a:b or a:b:step (inclusive).")
-@click.option("--model", type=click.Choice([HOMOGENEOUS, UNIFORM, "both"]), default="both",
+@click.option("--model", type=click.Choice([*MODELS, "both"]), default="both",
               show_default=True, help="Population(s) to evaluate.")
 @_scheme_options
 @_output_options
@@ -342,9 +343,10 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
           output_path: str | None) -> None:
     """Hit probability as a function of alignment length, at a fixed score.
 
-    Lengths in the range with no alignment of the given score (in every
-    requested model) are skipped; each remaining (length, model) pair yields
-    exactly one row.
+    A length with no alignment of the given score is skipped. When the
+    homogeneous model is requested, alone or under "both", a length with no
+    homogeneous alignment of the score is skipped for every requested model.
+    Each remaining (length, model) pair yields exactly one row.
     """
     models = [HOMOGENEOUS, UNIFORM] if model == "both" else [model]
     with _usage_errors():

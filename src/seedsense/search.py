@@ -21,8 +21,8 @@ from typing import Iterator
 
 from ._pool import map_strided
 from .alignments import DetectionStrategy, ScoringScheme, Seed
-from .counting import InfeasibleScore, count_homogeneous, count_unconstrained
-from .sensitivity import HOMOGENEOUS, MODELS, hit_probability_profile
+from .counting import HOMOGENEOUS, MODELS, InfeasibleScore, count_homogeneous, count_unconstrained
+from .sensitivity import hit_probability_profile
 
 
 @dataclass(frozen=True)

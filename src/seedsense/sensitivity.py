@@ -38,7 +38,7 @@ from itertools import islice, repeat
 
 from . import sampling
 from .alignments import DetectionStrategy, ScoringScheme, Seed, _admissible, _window_starts
-from .counting import (HOMOGENEOUS, MODELS, UNIFORM, InfeasibleScore, feasible_composition,
+from .counting import (HOMOGENEOUS, MODELS, InfeasibleScore, feasible_composition,
                        lane, lane_sweep, lane_width)
 from .sampling import RandomStream
 

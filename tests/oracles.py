@@ -1,7 +1,8 @@
 """Brute-force reference implementations shared across the test suite.
 
 Everything here is deliberately direct: exhaustive enumeration, literal
-definitions, no tables. The fast paths in the package are tested against
+definitions, no tables, and closed forms from the literature for the lengths
+enumeration cannot reach. The fast paths in the package are tested against
 these. Bit order matches Alignment: bit i-1 of an int holds letter b_i.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import comb
 
 from seedsense.alignments import Alignment, ScoringScheme, is_homogeneous, score as alignment_score
 from seedsense.counting import HOMOGENEOUS, lane_width
@@ -170,6 +172,40 @@ def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:
         elif 0 < nxt < target:
             total += suffix_walk_count(s, p, target, nxt, k - 1)
     return total
+
+
+def strip_walk_count(n: int, t: int) -> int:
+    """Homogeneous alignments of length n and score t under (1,1), by the reflection
+    principle (Mohanty 1979; Feller vol. 1, ch. III).
+
+    The first and last letters are matches, and the n-2 letters between walk
+    from 1 to t-1 without touching 0 or t. With N(d) the walks of n-2 steps
+    and net rise d, reflecting in both walls gives
+    sum over k of N(t-2+2kt) - N(t+2kt).
+    """
+    if n == 1 or t <= 1:
+        return int(n == 1 and t == 1)
+    steps = n - 2
+
+    def walks(rise: int) -> int:
+        if abs(rise) > steps or (steps + rise) % 2:
+            return 0
+        return comb(steps, (steps + rise) // 2)
+
+    reach = steps // (2 * t) + 1
+    return sum(walks(t - 2 + 2 * k * t) - walks(t + 2 * k * t) for k in range(-reach, reach + 1))
+
+
+def run_free_count(n: int, q: int, w: int) -> int:
+    """Length-n sequences with q mismatches and no run of w matches.
+
+    The n-q matches fill the q+1 gaps the mismatches leave, fewer than w to a
+    gap; inclusion-exclusion over the j gaps given w or more counts them as
+    sum over j of (-1)^j C(q+1, j) C(n-q-jw+q, q).
+    """
+    matches = n - q
+    return sum((-1) ** j * comb(q + 1, j) * comb(matches - j * w + q, q)
+               for j in range(min(q + 1, matches // w) + 1))
 
 
 class GenerationBudgetExceeded(RuntimeError):

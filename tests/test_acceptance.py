@@ -37,12 +37,10 @@ from seedsense.alignments import (
     score as alignment_score,
 )
 from seedsense.cli import run as cli_run
-from seedsense.counting import count_homogeneous
+from seedsense.counting import HOMOGENEOUS, UNIFORM, count_homogeneous
 from seedsense.sampling import RandomStream, sample_fixed
 from seedsense.search import SearchSpec, find_optimal
 from seedsense.sensitivity import (
-    HOMOGENEOUS,
-    UNIFORM,
     SensitivityQuery,
     hit_probability,
     hit_probability_profile,

@@ -338,6 +338,18 @@ class TestCurve:
         assert {r["model"] for r in rows} == {"homogeneous"}
         assert [int(r["n"]) for r in rows] == [8, 12, 16]
 
+    def test_both_models_skip_lengths_without_a_homogeneous_alignment(self, capsys):
+        # under (1,3), length 6 has alignments of score 2 ("111011" and its kin) but
+        # no homogeneous one, so a request that includes the homogeneous model drops it
+        def lengths(model):
+            code, out, _ = invoke(capsys, "curve", "--seed", "11", "--score", "2",
+                                  "--length-range", "2:6", "--model", model, "--format", "csv")
+            assert code == 0
+            return [(int(r["n"]), r["model"]) for r in parse_csv(out)]
+        assert lengths("all") == [(2, "all"), (6, "all")]
+        assert lengths("homogeneous") == [(2, "homogeneous")]
+        assert lengths("both") == [(2, "all"), (2, "homogeneous")]
+
     def test_bad_range(self, capsys):
         assert invoke(capsys, "curve", "--seed", "11", "--score", "4",
                       "--length-range", "9")[0] == 2

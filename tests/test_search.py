@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seedsense.search as search_mod
-from seedsense.alignments import ScoringScheme, enumerate_homogeneous, seed_detects
-from seedsense.counting import InfeasibleScore
-from seedsense.alignments import DetectionStrategy
+from seedsense.alignments import DetectionStrategy, ScoringScheme, enumerate_homogeneous, seed_detects
+from seedsense.counting import HOMOGENEOUS, UNIFORM, InfeasibleScore
 from seedsense.search import RankedSeeds, SearchSpec, enumerate_seeds, find_optimal, seed_count
-from seedsense.sensitivity import (
-    HOMOGENEOUS,
-    UNIFORM,
-    SensitivityQuery,
-    SensitivityReport,
-    hit_probability,
-)
+from seedsense.sensitivity import SensitivityQuery, SensitivityReport, hit_probability
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)

@@ -8,11 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 import seedsense.sampling as sampling_mod
 import seedsense.sensitivity as sensitivity_mod
 from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
-from seedsense.counting import InfeasibleScore, count_homogeneous
+from seedsense.counting import HOMOGENEOUS, UNIFORM, InfeasibleScore, count_homogeneous
 from seedsense.sampling import RandomStream, _draw, sample_fixed
 from seedsense.sensitivity import (
-    HOMOGENEOUS,
-    UNIFORM,
     SensitivityQuery,
     SensitivityReport,
     _HitAutomaton,

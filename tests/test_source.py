@@ -51,3 +51,42 @@ def test_one_count_recurrence():
     comb_users = sorted(path.name for path in PACKAGE.glob("*.py")
                         if "math.comb" in path.read_text())
     assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
+
+
+def _module_names(path: Path) -> set[str]:
+    # the names a module defines itself: a def, a class or an assignment at its top level
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for target in targets for n in ast.walk(target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def test_each_name_has_one_home():
+    # the package root re-exports nothing, and every import names the module that
+    # defines the name, so a rename or a deletion is a change to one module
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert ast.get_docstring(init) and len(init.body) == 1, \
+        "__init__.py holds more than its docstring"
+    defined = {path.stem: _module_names(path) for path in PACKAGE.glob("*.py")}
+    misplaced = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 1:  # `from .mod import x`, or `from . import mod`
+                module = node.module or "__init__"
+            elif node.level == 0 and (node.module + ".").startswith("seedsense."):
+                module = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                submodule = module == "__init__" and alias.name in defined
+                if not submodule and alias.name not in defined.get(module, ()):
+                    misplaced.append(f"{path.parent.name}/{path.name}:{node.lineno} "
+                                     f"{alias.name} from {module}")
+    assert not misplaced, f"names imported from a module that does not define them: {misplaced}"
