@@ -9,6 +9,7 @@ arguments, 3 infeasible length/score combination, 4 failed self-check.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -25,9 +26,10 @@ from .counting import (
     UNIFORM,
     CountTableD,
     InfeasibleScore,
+    check_model,
     count_homogeneous,
     count_unconstrained,
-    feasible_composition,
+    mismatch_count,
 )
 from .sampling import RandomStream, sample_fixed, sample_free
 from .search import SearchSpec, find_optimal
@@ -184,6 +186,9 @@ def count(length: int, score: int | None, model: str, match: int, mismatch: int,
 def generate(length: int, score: int | None, samples: int, rng_seed: int, threads: int | None,
              match: int, mismatch: int, fmt: str, output_path: str | None) -> None:
     """Generate uniform random homogeneous alignments, one per line."""
+    if score is not None:
+        with _usage_errors():
+            check_model(HOMOGENEOUS, score)
     scheme = ScoringScheme(match, mismatch)
     stream = RandomStream(rng_seed)
     if threads is None:
@@ -217,75 +222,64 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
     _write(head + sep.join(drawn) + tail, output_path)
 
 
-def _sensitivity_rows(reports, precision: int) -> list[dict]:
-    rows = []
-    for report in reports:
-        q = report.query
-        rows.append({
-            "seed": q.strategy.seed.pattern,
-            "occurrences": q.strategy.required_occurrences,
-            "max_overlap": q.strategy.max_overlap,
-            "match": q.scheme.match_score,
-            "mismatch": q.scheme.mismatch_penalty,
-            "length": q.length,
-            "score": q.score,
-            "model": q.model,
-            "numerator": str(report.numerator),
-            "denominator": str(report.denominator),
-            "probability": report.decimal(precision),
-        })
-    return rows
+def _query_options(f):
+    # the strategy options, --length, --score and --model; the command receives them,
+    # with --match and --mismatch, as one checked SensitivityQuery
+    @_strategy_options
+    @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
+    @click.option("--score", type=int, required=True, help="Total alignment score.")
+    @click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
+                  show_default=True, help="Alignment population.")
+    @functools.wraps(f)
+    def command(seed_pattern, occurrences, max_overlap, length, score, model, match, mismatch,
+                **options):
+        with _usage_errors():
+            strategy = DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
+            query = SensitivityQuery(strategy, ScoringScheme(match, mismatch), length, score, model)
+        return f(query, **options)
+    return command
+
+
+def _query_row(query: SensitivityQuery) -> dict:
+    strategy, scheme = query.strategy, query.scheme
+    return {"seed": strategy.seed.pattern, "occurrences": strategy.required_occurrences,
+            "max_overlap": strategy.max_overlap, "match": scheme.match_score,
+            "mismatch": scheme.mismatch_penalty, "length": query.length, "score": query.score,
+            "model": query.model}
 
 
 @cli.command()
-@_strategy_options
-@click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-@click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
-              show_default=True, help="Alignment population.")
+@_query_options
 @_scheme_options
 @_output_options
 @_precision_option
-def sensitivity(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score: int,
-                model: str, match: int, mismatch: int, fmt: str, precision: int,
+def sensitivity(query: SensitivityQuery, fmt: str, precision: int,
                 output_path: str | None) -> None:
     """Exact probability that the strategy detects a random alignment."""
-    with _usage_errors():
-        query = SensitivityQuery(DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap),
-                                 ScoringScheme(match, mismatch), length, score, model)
-    report = hit_probability_profile(query.strategy, query.scheme, score, [length], model)[0]
-    _emit(_sensitivity_rows([report], precision), [report.decimal(precision)],
-          fmt, output_path)
+    report = hit_probability_profile(query.strategy, query.scheme, query.score,
+                                     [query.length], query.model)[0]
+    probability = report.decimal(precision)
+    rows = [{**_query_row(query), "numerator": str(report.numerator),
+             "denominator": str(report.denominator), "probability": probability}]
+    _emit(rows, [probability], fmt, output_path)
 
 
 @cli.command()
-@_strategy_options
-@click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-@click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
-              show_default=True, help="Alignment population.")
+@_query_options
 @click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True)
 @click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
               show_default=True)
 @_scheme_options
 @_output_options
 @_precision_option
-def mc(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score: int,
-       model: str, samples: int, rng_seed: int, match: int, mismatch: int,
-       fmt: str, precision: int, output_path: str | None) -> None:
+def mc(query: SensitivityQuery, samples: int, rng_seed: int, fmt: str, precision: int,
+       output_path: str | None) -> None:
     """Monte-Carlo estimate of the hit probability, with standard error."""
-    with _usage_errors():
-        query = SensitivityQuery(DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap),
-                                 ScoringScheme(match, mismatch), length, score, model)
     result = mc_estimate(query, samples, RandomStream(rng_seed))
     estimate_text = decimal_ratio(result.hits, result.samples, precision)
     stderr_text = f"{result.stderr:.{precision}f}"
-    rows = [{
-        "seed": seed_pattern, "occurrences": occurrences, "max_overlap": max_overlap,
-        "match": match, "mismatch": mismatch, "length": length, "score": score,
-        "model": model, "samples": samples, "rng_seed": rng_seed,
-        "hits": result.hits, "estimate": estimate_text, "stderr": stderr_text,
-    }]
+    rows = [{**_query_row(query), "samples": samples, "rng_seed": rng_seed,
+             "hits": result.hits, "estimate": estimate_text, "stderr": stderr_text}]
     _emit(rows, [f"{estimate_text} stderr {stderr_text}"], fmt, output_path)
 
 
@@ -352,10 +346,12 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
     with _usage_errors():
         strategy = DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
         scheme = ScoringScheme(match, mismatch)
-        for m in models:  # checks the score before CountTableD, which assumes it valid
-            SensitivityQuery(strategy, scheme, 1, score, m)
+        # checked here, where a rejection is a usage error: below this block,
+        # CountTableD and hit_probability_profile would raise it as a traceback
+        for m in models:
+            check_model(m, score)
     lengths = _parse_range(length_range)
-    feasible = [n for n in lengths if feasible_composition(scheme, n, score) is not None]
+    feasible = [n for n in lengths if mismatch_count(scheme, n, score) is not None]
     if HOMOGENEOUS in models and feasible:
         # a feasible composition can still have an empty homogeneous population
         table = CountTableD(scheme, score, max(feasible))

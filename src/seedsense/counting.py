@@ -19,11 +19,12 @@ nothing but the scheme, score, horizon and model, so a sweep reads them from
 a schedule, ``_windows``, memoized for the last such key: all the sweeps of
 one ``optimize`` share one.
 
-Three readers share the sweep: ``count_homogeneous`` reads the lane of the
-target score at the last length, a free score summing this over
-``positive_scores``; the sampler reads every windowed layer as completion
-counts (see ``sampling``); and the sensitivity program reads hits and
-population per requested length (see ``sensitivity``).
+Only this module reads the lanes, by two readers. ``profile_counts`` reads
+the score's lane at each requested length: in the accept state it is the
+hits, summed over all states the population. ``sensitivity`` calls it with
+a scanner, ``count_homogeneous`` without one, the single state accepting.
+``class_steps`` reads one score class's windowed layers as the sampler's
+completion counts (see ``sampling``).
 
 ``CountTableD`` counts the same walks backward, as suffixes, in a dense
 table. Its last reader is ``curve``, which filters empty lengths with it,
@@ -37,8 +38,8 @@ dense schemes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 from .alignments import ScoringScheme
@@ -46,6 +47,15 @@ from .alignments import ScoringScheme
 HOMOGENEOUS = "homogeneous"
 UNIFORM = "all"
 MODELS = (HOMOGENEOUS, UNIFORM)
+
+
+def check_model(model: str, score: int) -> None:
+    """Reject an unknown model, and a homogeneous score below 1: a homogeneous
+    walk stays inside the open band (0, score) until it ends on the score."""
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}")
+    if model == HOMOGENEOUS and score < 1:
+        raise ValueError("homogeneous alignments require score >= 1")
 
 
 class InfeasibleScore(ValueError):
@@ -60,21 +70,15 @@ class InfeasibleScore(ValueError):
         return cls(f"no alignments of length {n} and score {score} under {scheme}")
 
 
-@dataclass(frozen=True)
-class Composition:
-    matches: int
-    mismatches: int
-
-
-def feasible_composition(scheme: ScoringScheme, n: int, score: int) -> Composition | None:
-    """The unique (matches, mismatches) with m + q = n and m*s - q*p = score, if any."""
+def mismatch_count(scheme: ScoringScheme, n: int, score: int) -> int | None:
+    """The unique q with (n - q)*s - q*p = score and 0 <= q <= n, if any."""
     if n < 1:
         raise ValueError("length must be >= 1")
     s, p = scheme.match_score, scheme.mismatch_penalty
     m, rem = divmod(score + n * p, s + p)
     if rem or not 0 <= m <= n:
         return None
-    return Composition(m, n - m)
+    return n - m
 
 
 class CountTableD:
@@ -207,7 +211,11 @@ def lane_sweep(step0: list[int], step1: list[int], start: int, scheme: ScoringSc
     yield layer, 0, 0, 0
     for shift, keep, base, low, high in _windows(scheme, score, horizon, model):
         nxt = [0] * size
-        # the previous step's window, applied as the layer is read
+        # the previous step's window, applied as the layer is read. The shift-free
+        # copy of the loop pays: on a 2-vCPU VM, one loop that always shifts made a
+        # serial find_optimal of both models (weight 9, span <= 14, (40, 12)) 6-7%
+        # slower and 24 hit_probability_profile queries 11-12% slower, in each of
+        # 14 alternating process pairs (the minimum of 5 runs each)
         if shift:
             for to0, to1, v in zip(step0, step1, layer):
                 if v:
@@ -231,6 +239,54 @@ def lane(v: int, q: int, base: int, width: int) -> int:
     return (v >> (q - base) * width) & ((1 << width) - 1) if q >= base else 0
 
 
+def profile_counts(step0: list[int], step1: list[int], start: int, accept: int,
+                   scheme: ScoringScheme, score: int, lengths: list[int],
+                   model: str) -> dict[int, tuple[int, int]]:
+    """(accept-state count, all-state count) of the score at each requested length,
+    from one sweep to the longest, each read before its length's window excludes the
+    score (when homogeneous); a length without the score counts (0, 0)."""
+    horizon = max(lengths)
+    width = lane_width(scheme, score, horizon)
+    sweep = lane_sweep(step0, step1, start, scheme, score, horizon, model)
+    out = {}
+    at = -1
+    for n in sorted(set(lengths)):
+        # skip to layer n without touching the layers between
+        layer, base, _, _ = next(islice(sweep, n - at - 1, None))
+        at = n
+        q = mismatch_count(scheme, n, score)
+        out[n] = (0, 0) if q is None else (lane(layer[accept], q, base, width),
+                                            lane(sum(layer), q, base, width))
+    return out
+
+
+def class_steps(scheme: ScoringScheme, n: int, score: int,
+                model: str) -> tuple[int, list[list[int]]] | None:
+    """One sampler class, (size, steps), or None when no walk of the model has the score.
+
+    ``steps[j][u]`` is the number of the class's members that, with u
+    mismatches placed before step j, take a match there. Reversal maps the
+    walks of a class onto themselves, so those completions are the class's
+    length-(n-j-1) prefixes with the q - u mismatches left: lane q - u of
+    the scanner-less sweep's windowed layer at that length. The window
+    matters: a match onto the score with letters left completes nothing.
+    """
+    q = mismatch_count(scheme, n, score)
+    if q is None or (model == HOMOGENEOUS and score < 1):
+        return None
+    width = lane_width(scheme, score, n)
+    rows = []
+    for layer, base, low, high in lane_sweep([0], [0], 0, scheme, score, n, model):
+        v = layer[0]
+        row = [0] * (q + 1)
+        for m in range(low, high + 1):
+            row[q - m] = lane(v, m, base, width)
+        rows.append(row)
+    size = lane(v, q, base, width)
+    # rows[k] holds the windowed layer of length k; step j reads length n - j - 1
+    return (size, rows[n - 1::-1]) if size else None
+
+
 def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -> int:
     """Exact number of homogeneous alignments of length n (and score, when fixed).
 
@@ -241,16 +297,12 @@ def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -
         raise ValueError("length must be >= 1")
     if score is None:
         return sum(count_homogeneous(scheme, n, t) for t in positive_scores(scheme, n))
-    comp = feasible_composition(scheme, n, score)
-    if score < 1 or comp is None:
+    if score < 1:
         return 0
-    for layer, base, _, _ in lane_sweep([0], [0], 0, scheme, score, n, HOMOGENEOUS):
-        pass
-    # the lane of the score itself, read before the window excludes it
-    return lane(layer[0], comp.mismatches, base, lane_width(scheme, score, n))
+    return profile_counts([0], [0], 0, 0, scheme, score, [n], HOMOGENEOUS)[n][0]
 
 
 def count_unconstrained(scheme: ScoringScheme, n: int, score: int) -> int:
     """Number of all binary sequences of length n with the given score."""
-    comp = feasible_composition(scheme, n, score)
-    return 0 if comp is None else math.comb(n, comp.matches)
+    q = mismatch_count(scheme, n, score)
+    return 0 if q is None else math.comb(n, q)

@@ -12,9 +12,9 @@ match step when the rank is below the number of members that match there,
 and otherwise subtracting that number and taking the mismatch step. Each
 member has exactly one rank, so a uniform rank gives an exactly uniform
 sample, with integer arithmetic only. The walk is keyed on the mismatches
-placed so far, and its counts are the layers of ``counting.lane_sweep``
-read backward: the uniform model's sweep has no band, a homogeneous one the
-band of its class's score.
+placed so far, and its counts are a class's rows as ``counting.class_steps``
+reads them from the sweep: the uniform model's sweep has no band, a
+homogeneous one the band of its class's score.
 
 A class that many of a call's samples fall in walks ``_BLOCK`` = 8 letters
 per step: a table per (block start, mismatches placed) lists the block's
@@ -54,16 +54,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ._pool import map_strided
 from .alignments import ScoringScheme
-from .counting import (
-    HOMOGENEOUS,
-    InfeasibleScore,
-    count_homogeneous,
-    feasible_composition,
-    lane,
-    lane_sweep,
-    lane_width,
-    positive_scores,
-)
+from .counting import HOMOGENEOUS, InfeasibleScore, class_steps, count_homogeneous, positive_scores
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -204,35 +195,12 @@ def _population(scheme: ScoringScheme, n: int, score: int | None,
     """The population a sample is drawn from, as a list of (size, steps) classes.
 
     A homogeneous population has one class per score (each positive score,
-    ascending, when `score` is None); the uniform model's is every sequence
-    of the score. ``steps[j][u]`` is the number of a class's members that,
-    with u mismatches placed before step j, take a match there. Reversal
-    maps the walks of a class onto themselves, so those completions are the
-    class's length-(n-j-1) prefixes with the q - u mismatches left: lane
-    q - u of ``lane_sweep``'s windowed layer at that length. The window
-    matters: a match onto the score with letters left completes nothing.
+    ascending, when `score` is None, skipping the empty ones); the uniform
+    model's is every sequence of the score. Each class is read by
+    ``counting.class_steps``.
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
     scores = positive_scores(scheme, n) if score is None else [score]
-    classes = []
-    for t in scores:
-        comp = feasible_composition(scheme, n, t)
-        if comp is None or (model == HOMOGENEOUS and t < 1):
-            continue
-        q = comp.mismatches
-        width = lane_width(scheme, t, n)
-        rows = []
-        for layer, base, low, high in lane_sweep([0], [0], 0, scheme, t, n, model):
-            v = layer[0]
-            row = [0] * (q + 1)
-            for m in range(low, high + 1):
-                row[q - m] = lane(v, m, base, width)
-            rows.append(row)
-        size = lane(v, q, base, width)
-        if size:
-            # rows[k] holds the windowed layer of length k; step j reads length n - j - 1
-            classes.append((size, rows[n - 1::-1]))
+    classes = [c for t in scores if (c := class_steps(scheme, n, t, model))]
     if not classes:
         raise InfeasibleScore.empty(scheme, n, score, model)
     return classes

@@ -21,7 +21,8 @@ from typing import Iterator
 
 from ._pool import map_strided
 from .alignments import DetectionStrategy, ScoringScheme, Seed
-from .counting import HOMOGENEOUS, MODELS, InfeasibleScore, count_homogeneous, count_unconstrained
+from .counting import (HOMOGENEOUS, InfeasibleScore, check_model, count_homogeneous,
+                       count_unconstrained)
 from .sensitivity import hit_probability_profile
 
 
@@ -40,10 +41,7 @@ class SearchSpec:
             raise ValueError("weight must be >= 2")
         if self.max_span < self.weight:
             raise ValueError("max_span must be >= weight")
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
-        if self.model == HOMOGENEOUS and self.score < 1:
-            raise ValueError("homogeneous alignments require score >= 1")
+        check_model(self.model, self.score)
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
 

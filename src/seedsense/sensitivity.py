@@ -6,20 +6,20 @@ Two alignment models share one dynamic program:
   score S (walks confined to the open band (0, S) until the final step);
 * ``all``: uniform over every binary sequence of length n and score S.
 
-The program is ``counting.lane_sweep`` run over the states of a scanner
+The program is ``counting.profile_counts`` run over the states of a scanner
 automaton, the same sweep that counts populations and builds the samplers.
-Before the window of each requested length, the lane of score S gives both
-sides of the answer: summed over all states it is the population, in the
-accept state the hits, and one division gives the exact rational
-probability. The scanner is a deterministic automaton over {0, 1} whose
-state is the set of seed windows still alive, as a bitmask, plus the
-occurrences still needed: the Shift-And state of Baeza-Yates & Gonnet ("A
-new approach to text searching", CACM 1992). With one occurrence left, a
-window that can only complete after an older live window is dropped; on
-every seed checked, that leaves the automaton minimal with no minimization
-pass. For the weight-11, span-18 seed 110100110010101111 it has 243
-states, the Moore-minimal count (Kucherov, Noé & Roytberg, JBCB 2006),
-against 283 with every live window kept and 756 for the suffix automaton.
+At each requested length it gives both sides of the answer: the count of
+score S summed over all states is the population, in the accept state the
+hits, and one division gives the exact rational probability. The scanner is
+a deterministic automaton over {0, 1} whose state is the set of seed windows
+still alive, as a bitmask, plus the occurrences still needed: the Shift-And
+state of Baeza-Yates & Gonnet ("A new approach to text searching", CACM
+1992). With one occurrence left, a window that can only complete after an
+older live window is dropped; on every seed checked, that leaves the
+automaton minimal with no minimization pass. For the weight-11, span-18
+seed 110100110010101111 it has 243 states, the Moore-minimal count
+(Kucherov, Noé & Roytberg, JBCB 2006), against 283 with every live window
+kept and 756 for the suffix automaton.
 
 A strategy and its mirror, the reversed seed with the same occurrences and
 overlap, have the same hit counts in both models, but their scanners often
@@ -38,8 +38,7 @@ from itertools import islice, repeat
 
 from . import sampling
 from .alignments import DetectionStrategy, ScoringScheme, Seed, _admissible, _window_starts
-from .counting import (HOMOGENEOUS, MODELS, InfeasibleScore, feasible_composition,
-                       lane, lane_sweep, lane_width)
+from .counting import HOMOGENEOUS, InfeasibleScore, check_model, profile_counts
 from .sampling import RandomStream
 
 
@@ -54,10 +53,7 @@ class SensitivityQuery:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}")
-        if self.model == HOMOGENEOUS and self.score < 1:
-            raise ValueError("homogeneous alignments require score >= 1")
+        check_model(self.model, self.score)
 
 
 @dataclass(frozen=True)
@@ -191,23 +187,6 @@ def _scanner(strategy: DetectionStrategy) -> _HitAutomaton:
     return _HitAutomaton(strategy)
 
 
-def _profile(automaton: _HitAutomaton, scheme: ScoringScheme, score: int,
-             lengths: list[int], model: str) -> dict[int, tuple[int, int]]:
-    """(hits, population) per requested length, both read from one sweep."""
-    horizon = max(lengths)
-    width = lane_width(scheme, score, horizon)
-    accept = automaton.accept
-    out = dict.fromkeys(lengths, (0, 0))
-    sweep = lane_sweep(automaton.step0, automaton.step1, automaton.start, scheme, score,
-                       horizon, model)
-    for i, (layer, base, _, _) in enumerate(sweep):
-        # read before the window, which excludes the score itself when homogeneous
-        if i in out and (comp := feasible_composition(scheme, i, score)):
-            q = comp.mismatches
-            out[i] = (lane(layer[accept], q, base, width), lane(sum(layer), q, base, width))
-    return out
-
-
 def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, score: int,
                             lengths: list[int],
                             model: str = HOMOGENEOUS) -> list[SensitivityReport]:
@@ -219,7 +198,9 @@ def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, 
     if not lengths:
         raise ValueError("lengths must be nonempty")
     queries = [SensitivityQuery(strategy, scheme, n, score, model) for n in lengths]
-    profile = _profile(_scanner(strategy), scheme, score, lengths, model)
+    scanner = _scanner(strategy)
+    profile = profile_counts(scanner.step0, scanner.step1, scanner.start, scanner.accept,
+                             scheme, score, lengths, model)
     reports = []
     for query in queries:
         hits, population = profile[query.length]

@@ -174,26 +174,33 @@ def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:
     return total
 
 
-def strip_walk_count(n: int, t: int) -> int:
-    """Homogeneous alignments of length n and score t under (1,1), by the reflection
-    principle (Mohanty 1979; Feller vol. 1, ch. III).
+def strip_walks(a: int, b: int, t: int, steps: int) -> int:
+    """Walks of `steps` +-1 steps from a to b, both inside the open strip (0, t), that
+    never touch 0 or t, by the reflection principle (Mohanty 1979; Feller vol. 1,
+    ch. III).
 
-    The first and last letters are matches, and the n-2 letters between walk
-    from 1 to t-1 without touching 0 or t. With N(d) the walks of n-2 steps
-    and net rise d, reflecting in both walls gives
-    sum over k of N(t-2+2kt) - N(t+2kt).
+    With N(d) the unconstrained walks of that many steps and net rise d,
+    reflecting in both walls gives sum over k of N(b-a+2kt) - N(b+a+2kt).
     """
-    if n == 1 or t <= 1:
-        return int(n == 1 and t == 1)
-    steps = n - 2
-
     def walks(rise: int) -> int:
         if abs(rise) > steps or (steps + rise) % 2:
             return 0
         return comb(steps, (steps + rise) // 2)
 
     reach = steps // (2 * t) + 1
-    return sum(walks(t - 2 + 2 * k * t) - walks(t + 2 * k * t) for k in range(-reach, reach + 1))
+    return sum(walks(b - a + 2 * k * t) - walks(b + a + 2 * k * t)
+               for k in range(-reach, reach + 1))
+
+
+def strip_walk_count(n: int, t: int) -> int:
+    """Homogeneous alignments of length n and score t under (1,1).
+
+    The first and last letters are matches, and the n-2 letters between walk
+    from 1 to t-1 without touching 0 or t: ``strip_walks(1, t-1, t, n-2)``.
+    """
+    if n == 1 or t <= 1:
+        return int(n == 1 and t == 1)
+    return strip_walks(1, t - 1, t, n - 2)
 
 
 def run_free_count(n: int, q: int, w: int) -> int:

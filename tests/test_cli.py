@@ -133,6 +133,16 @@ class TestGenerate:
     def test_infeasible(self, capsys):
         assert invoke(capsys, "generate", "--length", "5", "--score", "2")[0] == 3
 
+    def test_homogeneous_score_below_one_is_a_usage_error(self, capsys, serial_pool):
+        # the same rule and exit code as sensitivity, mc, optimize and curve
+        for score in ("0", "-3"):
+            code, out, err = invoke(capsys, "generate", "--length", "10", "--score", score,
+                                    "--threads", "2")
+            assert code == 2
+            assert out == ""
+            assert "homogeneous alignments require score >= 1" in err and "Traceback" not in err
+        assert serial_pool == []
+
     def test_infeasible_with_workers_rejected_before_the_pool(self, capsys, serial_pool):
         code, out, err = invoke(capsys, "generate", "--length", "5", "--score", "2",
                                 "--samples", "2", "--threads", "2")

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 from seedsense.alignments import ScoringScheme, enumerate_homogeneous
 from seedsense.counting import (
     MODELS,
-    Composition,
     CountTableD,
     count_homogeneous,
     count_unconstrained,
-    feasible_composition,
     lane_sweep,
+    mismatch_count,
 )
 
 from oracles import fixed_score_population, inline_lane_sweep, suffix_walk_count, walk_homogeneous
@@ -29,13 +28,13 @@ def feasible_scores(scheme, n):
 
 class TestComposition:
     def test_examples(self):
-        assert feasible_composition(S13, 40, 12) == Composition(33, 7)
-        assert feasible_composition(S13, 5, 2) is None
-        assert feasible_composition(S23, 6, 12) == Composition(6, 0)
+        assert mismatch_count(S13, 40, 12) == 7
+        assert mismatch_count(S13, 5, 2) is None
+        assert mismatch_count(S23, 6, 12) == 0
 
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
-            feasible_composition(S13, 0, 1)
+            mismatch_count(S13, 0, 1)
 
 
 class TestCountTableD:

@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 import seedsense.sampling as sampling_mod
 import seedsense.sensitivity as sensitivity_mod
 from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
-from seedsense.counting import HOMOGENEOUS, UNIFORM, InfeasibleScore, count_homogeneous
+from seedsense.counting import (HOMOGENEOUS, UNIFORM, InfeasibleScore, count_homogeneous,
+                                profile_counts)
 from seedsense.sampling import RandomStream, _draw, sample_fixed
 from seedsense.sensitivity import (
     SensitivityQuery,
     SensitivityReport,
     _HitAutomaton,
-    _profile,
     _scanner,
     decimal_ratio,
     hit_probability,
@@ -26,6 +26,12 @@ from oracles import hit_fractions, moore_class_count, subset_detects
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
+
+
+def _profile(auto, scheme, score, lengths, model):
+    # (hits, population) per length, swept over the given scanner
+    return profile_counts(auto.step0, auto.step1, auto.start, auto.accept, scheme, score,
+                          lengths, model)
 
 
 def strategy(pattern, occurrences=1, overlap=0):

@@ -53,6 +53,21 @@ def test_one_count_recurrence():
     assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
 
 
+def test_lane_format_has_one_home():
+    # a sweep layer's lanes are packed and read only in counting.py: every other
+    # module asks its readers, so a change to the packing is a change to one module
+    lane_names = {"lane", "lane_width", "lane_sweep"}
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, (ast.alias, ast.FunctionDef)) else None)
+            if name in lane_names:
+                users.add(path.name)
+    assert users == {"counting.py"}, f"modules that name the lane format: {sorted(users)}"
+
+
 def _module_names(path: Path) -> set[str]:
     # the names a module defines itself: a def, a class or an assignment at its top level
     names = set()
