@@ -19,7 +19,7 @@ from typing import Sequence
 
 import click
 
-from .alignments import DetectionStrategy, ScoringScheme, Seed
+from .alignments import ORACLE_LENGTH_LIMIT, DetectionStrategy, ScoringScheme, Seed
 from .counting import (
     HOMOGENEOUS,
     MODELS,
@@ -157,6 +157,9 @@ def cli() -> None:
 def count(length: int, score: int | None, model: str, match: int, mismatch: int,
           fmt: str, output_path: str | None) -> None:
     """Count alignments of a given length (and score)."""
+    if score is not None:
+        with _usage_errors():
+            check_model(model, score)
     scheme = ScoringScheme(match, mismatch)
     if model == UNIFORM:
         if score is None:
@@ -353,9 +356,11 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
     lengths = _parse_range(length_range)
     feasible = [n for n in lengths if mismatch_count(scheme, n, score) is not None]
     if HOMOGENEOUS in models and feasible:
-        # a feasible composition can still have an empty homogeneous population
+        # a feasible composition can still have an empty homogeneous population.
+        # CountTableD reads the populations from the one count sweep; the name stays
+        # only because benchmarks/tracing.py times it by name, until ROADMAP item 1
         table = CountTableD(scheme, score, max(feasible))
-        feasible = [n for n in feasible if table.count(0, n) > 0]
+        feasible = [n for n in feasible if table.count(n) > 0]
     if not feasible:
         raise InfeasibleScore(f"no length in {length_range} admits score {score}")
     by_model = {}
@@ -379,8 +384,8 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
 
 
 @cli.command()
-@click.option("--max-length", type=click.IntRange(min=1, max=20), default=14, show_default=True,
-              help="Exhaustive-enumeration bound for the oracle suites.")
+@click.option("--max-length", type=click.IntRange(min=1, max=ORACLE_LENGTH_LIMIT), default=14,
+              show_default=True, help="Exhaustive-enumeration bound for the oracle suites.")
 @_output_options
 def selfcheck(max_length: int, fmt: str, output_path: str | None) -> None:
     """Run the brute-force oracle suites and report pass/fail per property."""

@@ -26,10 +26,11 @@ a scanner, ``count_homogeneous`` without one, the single state accepting.
 ``class_steps`` reads one score class's windowed layers as the sampler's
 completion counts (see ``sampling``).
 
-``CountTableD`` counts the same walks backward, as suffixes, in a dense
-table. Its last reader is ``curve``, which filters empty lengths with it,
-although the profile sweep already finds every population. It stays while
-``benchmarks/tracing.py`` wraps ``cli.CountTableD`` by name to time it.
+``CountTableD`` is one more reader of ``profile_counts``: the homogeneous
+population of one score at every length up to a horizon, which ``curve``
+reads to drop lengths without a homogeneous alignment. The name stays only
+because ``benchmarks/tracing.py`` wraps ``cli.CountTableD`` by name to time
+it; it goes with ROADMAP item 1.
 
 Counts are exact Python integers; they outgrow 64 bits around length 70 for
 dense schemes.
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .alignments import ScoringScheme
 
@@ -79,48 +80,6 @@ def mismatch_count(scheme: ScoringScheme, n: int, score: int) -> int | None:
     if rem or not 0 <= m <= n:
         return None
     return n - m
-
-
-class CountTableD:
-    """Counts of length-k walk suffixes from ordinate y culminating exactly at `score`.
-
-    The start and end points are corners; every intermediate ordinate must lie
-    strictly inside (0, score). For k > 1 the two branches are guarded
-    independently: a match step is allowed iff it stays below the target, a
-    mismatch step iff it stays positive. A one-step suffix exists iff the
-    match step lands exactly on the target.
-    """
-
-    def __init__(self, scheme: ScoringScheme, score: int, horizon: int):
-        if score < 1:
-            raise ValueError("target score must be >= 1")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.scheme = scheme
-        self.score = score
-        self.horizon = horizon
-        s, p = scheme.match_score, scheme.mismatch_penalty
-        rows = [[0] * score for _ in range(horizon + 1)]
-        if score >= s:
-            rows[1][score - s] = 1
-        for k in range(2, horizon + 1):
-            prev = rows[k - 1]
-            row = rows[k]
-            for y in range(score):
-                c = prev[y + s] if y + s < score else 0
-                if y > p:
-                    c += prev[y - p]
-                row[y] = c
-        self._rows = rows
-
-    def count(self, y: int, k: int) -> int:
-        if not 0 <= k <= self.horizon:
-            raise ValueError(f"steps {k} outside table horizon {self.horizon}")
-        if k == 0:
-            return 1 if y == self.score else 0
-        if y < 0 or y >= self.score:
-            return 0
-        return self._rows[k][y]
 
 
 def positive_scores(scheme: ScoringScheme, n: int) -> range:
@@ -240,7 +199,7 @@ def lane(v: int, q: int, base: int, width: int) -> int:
 
 
 def profile_counts(step0: list[int], step1: list[int], start: int, accept: int,
-                   scheme: ScoringScheme, score: int, lengths: list[int],
+                   scheme: ScoringScheme, score: int, lengths: Sequence[int],
                    model: str) -> dict[int, tuple[int, int]]:
     """(accept-state count, all-state count) of the score at each requested length,
     from one sweep to the longest, each read before its length's window excludes the
@@ -300,6 +259,23 @@ def count_homogeneous(scheme: ScoringScheme, n: int, score: int | None = None) -
     if score < 1:
         return 0
     return profile_counts([0], [0], 0, 0, scheme, score, [n], HOMOGENEOUS)[n][0]
+
+
+class CountTableD:
+    """The homogeneous population of `score` at each length 1..horizon, from one
+    scanner-less ``profile_counts`` sweep."""
+
+    def __init__(self, scheme: ScoringScheme, score: int, horizon: int):
+        if score < 1:
+            raise ValueError("target score must be >= 1")
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        self._counts = profile_counts([0], [0], 0, 0, scheme, score, range(1, horizon + 1),
+                                      HOMOGENEOUS)
+
+    def count(self, n: int) -> int:
+        """The number of homogeneous alignments of length n, 1 <= n <= horizon, with the score."""
+        return self._counts[n][0]
 
 
 def count_unconstrained(scheme: ScoringScheme, n: int, score: int) -> int:

@@ -160,20 +160,6 @@ def inline_lane_sweep(step0, step1, start, scheme, score, horizon, model):
         layer = nxt
 
 
-def suffix_walk_count(s: int, p: int, target: int, y: int, k: int) -> int:
-    """Walks of length k from ordinate y to the target with interior in (0, target)."""
-    if k == 0:
-        return 1 if y == target else 0
-    total = 0
-    for step in (s, -p):
-        nxt = y + step
-        if nxt == target and k == 1:
-            total += 1
-        elif 0 < nxt < target:
-            total += suffix_walk_count(s, p, target, nxt, k - 1)
-    return total
-
-
 def strip_walks(a: int, b: int, t: int, steps: int) -> int:
     """Walks of `steps` +-1 steps from a to b, both inside the open strip (0, t), that
     never touch 0 or t, by the reflection principle (Mohanty 1979; Feller vol. 1,

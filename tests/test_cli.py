@@ -7,6 +7,7 @@ import pytest
 
 import seedsense.cli as cli_mod
 import seedsense.sampling as sampling_mod
+from seedsense.alignments import ORACLE_LENGTH_LIMIT
 from seedsense.cli import run
 from seedsense.selfcheck import CheckResult
 
@@ -79,6 +80,16 @@ class TestCount:
         code, out, _ = invoke(capsys, "count", "--length", "40", "--score", "12",
                               "--model", "all")
         assert code == 0 and out == "18643560\n"
+
+    def test_homogeneous_score_below_one_is_a_usage_error(self, capsys):
+        # the score rule every other command applies; the uniform model has no such rule
+        for score in ("0", "-3"):
+            code, out, err = invoke(capsys, "count", "--length", "10", "--score", score)
+            assert code == 2 and out == ""
+            assert "homogeneous alignments require score >= 1" in err
+        code, out, _ = invoke(capsys, "count", "--length", "10", "--score", "0",
+                              "--model", "all", "--match", "1", "--mismatch", "1")
+        assert code == 0 and out == "252\n"
 
     def test_free_score_beyond_old_length_cap(self, capsys):
         # under (1, 600) only the all-match alignment has a positive score
@@ -401,3 +412,8 @@ class TestSelfcheckCommand:
         lines = out.splitlines()
         assert all(line.startswith(("PASS", "#")) for line in lines)
         assert lines[-1].startswith("# 9/9")
+
+    def test_max_length_bounded_by_the_oracle_limit(self, capsys):
+        code, out, err = invoke(capsys, "selfcheck", "--max-length", str(ORACLE_LENGTH_LIMIT + 1))
+        assert code == 2 and out == ""
+        assert "--max-length" in err

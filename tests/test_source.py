@@ -42,12 +42,22 @@ def test_trivial_command_loads_no_process_pool():
 
 
 def test_one_count_recurrence():
-    # every walk count comes from one sweep: the backward table is only curve's
-    # emptiness filter, and binomials count only the uniform model's population
-    # and, in search.py, the candidate seeds
+    # every walk count comes from one sweep: CountTableD, which curve reads, holds no
+    # recurrence of its own (no method loops; it reads profile_counts), and binomials
+    # count only the uniform model's population and, in search.py, the candidate seeds
     table_users = sorted(path.name for path in PACKAGE.glob("*.py")
                          if "CountTableD" in path.read_text())
     assert set(table_users) <= {"counting.py", "cli.py"}, table_users
+    tree = ast.parse((PACKAGE / "counting.py").read_text())
+    table = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "CountTableD")
+    loops = [f"counting.py:{node.lineno}" for node in ast.walk(table)
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                                   ast.GeneratorExp))]
+    assert not loops, f"loops in CountTableD: {loops}"
+    calls = {node.func.id for node in ast.walk(table)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "profile_counts" in calls, "CountTableD does not read profile_counts"
     comb_users = sorted(path.name for path in PACKAGE.glob("*.py")
                         if "math.comb" in path.read_text())
     assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
