@@ -1,23 +1,23 @@
-"""Command-line interface.
+"""Command-line interface on the standard library's ``argparse``.
 
-Subcommands: count, generate, sensitivity, mc, optimize, curve, selfcheck.
-All parameters are flags and are echoed into CSV/JSON output rows; text
-output keeps the primary result terse. Exit codes: 0 success, 2 bad
-arguments, 3 infeasible length/score combination, 4 failed self-check.
+Subcommands: count, generate, sensitivity, mc, optimize, curve, selfcheck: one
+parser, built at import, has a subparser per command, which calls the function of
+its name. All parameters are flags and are echoed into CSV/JSON output rows; text
+output keeps the primary result terse. Exit codes: 0 success, 2 bad arguments
+(stderr starts with ``Error: ``), 3 infeasible length/score combination, 4 failed
+self-check.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
-import functools
 import io
 import json
 import os
 import sys
 from contextlib import contextmanager
 from typing import Sequence
-
-import click
 
 from .alignments import ORACLE_LENGTH_LIMIT, DetectionStrategy, ScoringScheme, Seed
 from .counting import (
@@ -51,45 +51,68 @@ class SelfCheckFailure(Exception):
     """At least one consistency suite reported a failure."""
 
 
-def _scheme_options(f):
-    f = click.option("--match", type=click.IntRange(min=1), default=1, show_default=True,
-                     help="Score added per matching position.")(f)
-    f = click.option("--mismatch", type=click.IntRange(min=1), default=3, show_default=True,
-                     help="Penalty magnitude subtracted per mismatching position.")(f)
-    return f
+class UsageError(Exception):
+    """A command line that the parser or a domain constructor rejects (exit 2)."""
 
 
-def _output_directory_exists(ctx, param, path: str | None) -> str | None:
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line; takes no abbreviated option and no ``-h``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        # not exit_on_error=False, which still exits on some errors under Python 3.10
+        raise UsageError(message)
+
+
+def _int_range(low: int, high: int | None = None):
+    """An integer option type with inclusive bounds."""
+    def integer(text: str) -> int:
+        # argparse reports a ValueError as "invalid integer value"
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bounds = f"x>={low}" if high is None else f"{low}<=x<={high}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {bounds}")
+        return value
+    return integer
+
+
+def _output_path(path: str) -> str:
     # checked while parsing, so a request that could not be written does no work
     if path == "":
-        raise click.BadParameter("path is empty")
-    if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise click.BadParameter(f"directory of {path!r} does not exist")
+        raise argparse.ArgumentTypeError("path is empty")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory of {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    if not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"{path!r} is not writable")
     return path
 
 
-def _output_options(f):
-    f = click.option("--format", "fmt", type=click.Choice(["text", "csv", "json"]),
-                     default="text", show_default=True, help="Output rendering.")(f)
-    f = click.option("--output", "output_path", type=click.Path(dir_okay=False, writable=True),
-                     default=None, callback=_output_directory_exists,
-                     help="Write to this file instead of standard output.")(f)
-    return f
-
-
-def _precision_option(f):
-    return click.option("--precision", type=click.IntRange(min=1), default=6, show_default=True,
-                        help="Digits in decimal probability renderings.")(f)
-
-
-def _strategy_options(f):
-    f = click.option("--seed", "seed_pattern", required=True,
-                     help="Seed pattern over 0/1; must start and end with 1.")(f)
-    f = click.option("--occurrences", type=click.IntRange(min=1), default=1, show_default=True,
-                     help="Seed occurrences required for a hit.")(f)
-    f = click.option("--max-overlap", type=click.IntRange(min=0), default=0, show_default=True,
-                     help="Largest permitted overlap between consecutive occurrences.")(f)
-    return f
+# the options that several commands share, each a flag and the keywords of add_argument
+_LENGTH = ("--length", dict(type=_int_range(1), required=True, help="Alignment length."))
+_SCORE = ("--score", dict(type=int, required=True, help="Total alignment score."))
+_MODEL = ("--model", dict(choices=MODELS, default=HOMOGENEOUS, help="Alignment population."))
+_SCHEME = (("--match", dict(type=_int_range(1), default=1,
+                            help="Score added per matching position.")),
+           ("--mismatch", dict(type=_int_range(1), default=3,
+                               help="Penalty magnitude subtracted per mismatching position.")))
+_OUTPUT = (("--format", dict(dest="fmt", choices=["text", "csv", "json"], default="text",
+                             help="Output rendering.")),
+           ("--output", dict(dest="output_path", type=_output_path,
+                             help="Write to this file instead of standard output.")))
+_PRECISION = ("--precision", dict(type=_int_range(1), default=6,
+                                  help="Digits in decimal probability renderings."))
+_STRATEGY = (("--seed", dict(dest="seed_pattern", required=True,
+                             help="Seed pattern over 0/1; must start and end with 1.")),
+             ("--occurrences", dict(type=_int_range(1), default=1,
+                                    help="Seed occurrences required for a hit.")),
+             ("--max-overlap", dict(type=_int_range(0), default=0, help="Largest permitted "
+                                    "overlap between consecutive occurrences.")))
 
 
 @contextmanager
@@ -99,20 +122,20 @@ def _usage_errors():
     try:
         yield
     except ValueError as err:
-        raise click.UsageError(str(err)) from None
+        raise UsageError(str(err)) from None
 
 
 def _parse_range(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise click.BadParameter("length range must look like a:b or a:b:step")
+        raise UsageError("length range must look like a:b or a:b:step")
     try:
         lo, hi = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        raise click.BadParameter(f"length range {text!r} is not numeric")
+        raise UsageError(f"length range {text!r} is not numeric")
     if lo < 1 or hi < lo or step < 1:
-        raise click.BadParameter(f"length range {text!r} is empty or invalid")
+        raise UsageError(f"length range {text!r} is empty or invalid")
     return list(range(lo, hi + 1, step))
 
 
@@ -138,22 +161,11 @@ def _write(payload: str, output_path: str | None) -> None:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(payload)
     else:
-        click.echo(payload, nl=False)
+        # flushed, as a following stderr line would otherwise come first
+        sys.stdout.write(payload)
+        sys.stdout.flush()
 
 
-@click.group()
-def cli() -> None:
-    """Exact counting, uniform generation, and spaced-seed sensitivity for
-    score-constrained gapless alignments."""
-
-
-@cli.command()
-@click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-@click.option("--score", type=int, default=None, help="Total alignment score; omit for any score.")
-@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
-              show_default=True, help="Alignment population to count.")
-@_scheme_options
-@_output_options
 def count(length: int, score: int | None, model: str, match: int, mismatch: int,
           fmt: str, output_path: str | None) -> None:
     """Count alignments of a given length (and score)."""
@@ -163,29 +175,15 @@ def count(length: int, score: int | None, model: str, match: int, mismatch: int,
     scheme = ScoringScheme(match, mismatch)
     if model == UNIFORM:
         if score is None:
-            raise click.UsageError("--model all requires --score")
+            raise UsageError("--model all requires --score")
         result = count_unconstrained(scheme, length, score)
     else:
         result = count_homogeneous(scheme, length, score)
-    rows = [{
-        "match": match, "mismatch": mismatch, "length": length,
-        "score": score, "model": model, "count": str(result),
-    }]
+    rows = [{"match": match, "mismatch": mismatch, "length": length, "score": score,
+             "model": model, "count": str(result)}]
     _emit(rows, [str(result)], fmt, output_path)
 
 
-@cli.command()
-@click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-@click.option("--score", type=int, default=None,
-              help="Exact total score; omit to sample over all homogeneous alignments.")
-@click.option("--samples", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
-              show_default=True, help="64-bit seed for the sample streams.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes, at most one per usable CPU; output is identical "
-                   "for any value (default: one per usable CPU for large sample counts).")
-@_scheme_options
-@_output_options
 def generate(length: int, score: int | None, samples: int, rng_seed: int, threads: int | None,
              match: int, mismatch: int, fmt: str, output_path: str | None) -> None:
     """Generate uniform random homogeneous alignments, one per line."""
@@ -225,22 +223,12 @@ def generate(length: int, score: int | None, samples: int, rng_seed: int, thread
     _write(head + sep.join(drawn) + tail, output_path)
 
 
-def _query_options(f):
-    # the strategy options, --length, --score and --model; the command receives them,
-    # with --match and --mismatch, as one checked SensitivityQuery
-    @_strategy_options
-    @click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-    @click.option("--score", type=int, required=True, help="Total alignment score.")
-    @click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
-                  show_default=True, help="Alignment population.")
-    @functools.wraps(f)
-    def command(seed_pattern, occurrences, max_overlap, length, score, model, match, mismatch,
-                **options):
-        with _usage_errors():
-            strategy = DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
-            query = SensitivityQuery(strategy, ScoringScheme(match, mismatch), length, score, model)
-        return f(query, **options)
-    return command
+def _query(seed_pattern: str, occurrences: int, max_overlap: int, length: int, score: int,
+           model: str, match: int, mismatch: int) -> SensitivityQuery:
+    # the strategy options, --length, --score, --model and the scheme, as one checked query
+    with _usage_errors():
+        strategy = DetectionStrategy(Seed(seed_pattern), occurrences, max_overlap)
+        return SensitivityQuery(strategy, ScoringScheme(match, mismatch), length, score, model)
 
 
 def _query_row(query: SensitivityQuery) -> dict:
@@ -251,14 +239,9 @@ def _query_row(query: SensitivityQuery) -> dict:
             "model": query.model}
 
 
-@cli.command()
-@_query_options
-@_scheme_options
-@_output_options
-@_precision_option
-def sensitivity(query: SensitivityQuery, fmt: str, precision: int,
-                output_path: str | None) -> None:
+def sensitivity(fmt: str, precision: int, output_path: str | None, **query_options) -> None:
     """Exact probability that the strategy detects a random alignment."""
+    query = _query(**query_options)
     report = hit_probability_profile(query.strategy, query.scheme, query.score,
                                      [query.length], query.model)[0]
     probability = report.decimal(precision)
@@ -267,17 +250,10 @@ def sensitivity(query: SensitivityQuery, fmt: str, precision: int,
     _emit(rows, [probability], fmt, output_path)
 
 
-@cli.command()
-@_query_options
-@click.option("--samples", type=click.IntRange(min=1), default=100_000, show_default=True)
-@click.option("--rng-seed", type=click.IntRange(min=0, max=2**64 - 1), default=0,
-              show_default=True)
-@_scheme_options
-@_output_options
-@_precision_option
-def mc(query: SensitivityQuery, samples: int, rng_seed: int, fmt: str, precision: int,
-       output_path: str | None) -> None:
+def mc(samples: int, rng_seed: int, fmt: str, precision: int, output_path: str | None,
+       **query_options) -> None:
     """Monte-Carlo estimate of the hit probability, with standard error."""
+    query = _query(**query_options)
     result = mc_estimate(query, samples, RandomStream(rng_seed))
     estimate_text = decimal_ratio(result.hits, result.samples, precision)
     stderr_text = f"{result.stderr:.{precision}f}"
@@ -286,23 +262,6 @@ def mc(query: SensitivityQuery, samples: int, rng_seed: int, fmt: str, precision
     _emit(rows, [f"{estimate_text} stderr {stderr_text}"], fmt, output_path)
 
 
-@cli.command()
-@click.option("--weight", type=click.IntRange(min=2), required=True,
-              help="Required matches in every candidate seed.")
-@click.option("--max-span", type=click.IntRange(min=2), required=True,
-              help="Largest candidate span to enumerate.")
-@click.option("--length", type=click.IntRange(min=1), required=True, help="Alignment length.")
-@click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--model", type=click.Choice(MODELS), default=HOMOGENEOUS,
-              show_default=True, help="Alignment population.")
-@click.option("--top", type=click.IntRange(min=1), default=10, show_default=True,
-              help="Ranked seeds to keep.")
-@click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker processes, at most one per usable CPU (default: one per "
-                   "usable CPU).")
-@_scheme_options
-@_output_options
-@_precision_option
 def optimize(weight: int, max_span: int, length: int, score: int, model: str, top: int,
              threads: int | None, match: int, mismatch: int, fmt: str, precision: int,
              output_path: str | None) -> None:
@@ -315,26 +274,14 @@ def optimize(weight: int, max_span: int, length: int, score: int, model: str, to
     text_lines = []
     for rank, entry in enumerate(ranked.entries, start=1):
         probability = decimal_ratio(entry.numerator, entry.denominator, precision)
-        rows.append({
-            "rank": rank, "seed": entry.seed.pattern, "span": entry.seed.span,
-            "weight": entry.seed.weight, "numerator": str(entry.numerator),
-            "denominator": str(entry.denominator), "probability": probability,
-        })
+        rows.append({"rank": rank, "seed": entry.seed.pattern, "span": entry.seed.span,
+                     "weight": entry.seed.weight, "numerator": str(entry.numerator),
+                     "denominator": str(entry.denominator), "probability": probability})
         text_lines.append(f"{rank} {entry.seed.pattern} {probability}")
     text_lines.append(f"# candidates={ranked.candidate_count}")
     _emit(rows, text_lines, fmt, output_path)
 
 
-@cli.command()
-@_strategy_options
-@click.option("--score", type=int, required=True, help="Total alignment score.")
-@click.option("--length-range", "length_range", required=True,
-              help="Lengths to sweep, as a:b or a:b:step (inclusive).")
-@click.option("--model", type=click.Choice([*MODELS, "both"]), default="both",
-              show_default=True, help="Population(s) to evaluate.")
-@_scheme_options
-@_output_options
-@_precision_option
 def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, length_range: str,
           model: str, match: int, mismatch: int, fmt: str, precision: int,
           output_path: str | None) -> None:
@@ -373,20 +320,13 @@ def curve(seed_pattern: str, occurrences: int, max_overlap: int, score: int, len
         for m in sorted(models):
             report = by_model[m][n]
             probability = report.decimal(precision)
-            rows.append({
-                "n": n, "score": score, "seed": seed_pattern, "model": m,
-                "numerator": str(report.numerator),
-                "denominator": str(report.denominator),
-                "probability": probability,
-            })
+            rows.append({"n": n, "score": score, "seed": seed_pattern, "model": m,
+                         "numerator": str(report.numerator),
+                         "denominator": str(report.denominator), "probability": probability})
             text_lines.append(f"n={n} model={m} probability={probability}")
     _emit(rows, text_lines, fmt, output_path)
 
 
-@cli.command()
-@click.option("--max-length", type=click.IntRange(min=1, max=ORACLE_LENGTH_LIMIT), default=14,
-              show_default=True, help="Exhaustive-enumeration bound for the oracle suites.")
-@_output_options
 def selfcheck(max_length: int, fmt: str, output_path: str | None) -> None:
     """Run the brute-force oracle suites and report pass/fail per property."""
     results = run_selfcheck(max_length)
@@ -400,24 +340,84 @@ def selfcheck(max_length: int, fmt: str, output_path: str | None) -> None:
         raise SelfCheckFailure(f"{failures} consistency properties failed")
 
 
+# each command: the function it dispatches to, then its options
+_COMMANDS = (
+    (count, _LENGTH,
+     ("--score", dict(type=int, help="Total alignment score; omit for any score.")),
+     ("--model", dict(choices=MODELS, default=HOMOGENEOUS, help="Alignment population to count.")),
+     *_SCHEME, *_OUTPUT),
+    (generate, _LENGTH,
+     ("--score", dict(type=int, help="Exact total score; omit to sample over all homogeneous "
+                                     "alignments.")),
+     ("--samples", dict(type=_int_range(1), default=1)),
+     ("--rng-seed", dict(type=_int_range(0, 2**64 - 1), default=0,
+                         help="64-bit seed for the sample streams.")),
+     ("--threads", dict(type=_int_range(1), help="Worker processes, at most one per usable CPU; "
+                        "output is identical for any value (default: one per usable CPU for "
+                        "large sample counts).")),
+     *_SCHEME, *_OUTPUT),
+    (sensitivity, *_STRATEGY, _LENGTH, _SCORE, _MODEL, *_SCHEME, *_OUTPUT, _PRECISION),
+    (mc, *_STRATEGY, _LENGTH, _SCORE, _MODEL,
+     ("--samples", dict(type=_int_range(1), default=100_000)),
+     ("--rng-seed", dict(type=_int_range(0, 2**64 - 1), default=0)),
+     *_SCHEME, *_OUTPUT, _PRECISION),
+    (optimize,
+     ("--weight", dict(type=_int_range(2), required=True,
+                       help="Required matches in every candidate seed.")),
+     ("--max-span", dict(type=_int_range(2), required=True,
+                         help="Largest candidate span to enumerate.")),
+     _LENGTH, _SCORE, _MODEL,
+     ("--top", dict(type=_int_range(1), default=10, help="Ranked seeds to keep.")),
+     ("--threads", dict(type=_int_range(1), help="Worker processes, at most one per usable CPU "
+                        "(default: one per usable CPU).")),
+     *_SCHEME, *_OUTPUT, _PRECISION),
+    (curve, *_STRATEGY, _SCORE,
+     ("--length-range", dict(required=True,
+                             help="Lengths to sweep, as a:b or a:b:step (inclusive).")),
+     ("--model", dict(choices=[*MODELS, "both"], default="both",
+                      help="Population(s) to evaluate.")),
+     *_SCHEME, *_OUTPUT, _PRECISION),
+    (selfcheck,
+     ("--max-length", dict(type=_int_range(1, ORACLE_LENGTH_LIMIT), default=14,
+                           help="Exhaustive-enumeration bound for the oracle suites.")),
+     *_OUTPUT),
+)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="seedsense", description="Exact counting, uniform generation, and "
+                     "spaced-seed sensitivity for score-constrained gapless alignments.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for function, *options in _COMMANDS:
+        doc = function.__doc__ or ""  # None under python -OO
+        sub = commands.add_parser(function.__name__, help=doc.split("\n")[0], description=doc)
+        sub.set_defaults(function=function)
+        for flag, keywords in options:
+            if "default" in keywords:
+                # the help shows every default an option declares
+                shown = f"{keywords.get('help', '')} [default: %(default)s]".lstrip()
+                keywords = {**keywords, "help": shown}
+            sub.add_argument(flag, **keywords)
+    return parser
+
+
+_PARSER = _parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Dispatch a command line; returns the process exit code."""
     try:
-        cli.main(args=list(argv) if argv is not None else None, standalone_mode=False)
-    except click.UsageError as err:
-        err.show()
+        options = vars(_PARSER.parse_args(argv))
+        options.pop("function")(**options)
+    except SystemExit as shown:
+        # only --help exits, after printing its text
+        return shown.code
+    except UsageError as err:
+        sys.stderr.write(f"Error: {err}\n")
         return EXIT_USAGE
-    except click.exceptions.Exit as err:
-        return err.exit_code
-    except click.ClickException as err:
-        err.show()
-        return err.exit_code
-    except InfeasibleScore as err:
-        click.echo(f"error: {err}", err=True)
-        return EXIT_INFEASIBLE
-    except SelfCheckFailure as err:
-        click.echo(f"error: {err}", err=True)
-        return EXIT_SELFCHECK
+    except (InfeasibleScore, SelfCheckFailure) as err:
+        sys.stderr.write(f"error: {err}\n")
+        return EXIT_INFEASIBLE if isinstance(err, InfeasibleScore) else EXIT_SELFCHECK
     return EXIT_OK
 
 

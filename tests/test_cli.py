@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import re
 
 import pytest
 
@@ -39,6 +41,8 @@ class TestExitCodes:
                       "--score", "3", "--max-overlap", "3")[0] == 2
         assert invoke(capsys, "count", "--length", "5", "--score", "3",
                       "--model", "all", "--format", "yaml")[0] == 2
+        # an option is named in full: no abbreviation stands for it
+        assert invoke(capsys, "count", "--len", "5")[0] == 2
 
     def test_all_model_requires_score(self, capsys):
         assert invoke(capsys, "count", "--length", "5", "--model", "all")[0] == 2
@@ -56,6 +60,26 @@ class TestExitCodes:
 
     def test_help(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("command, options", [
+        ("count", "--length --score --model --match --mismatch --format --output"),
+        ("generate", "--length --score --samples --rng-seed --threads --match --mismatch "
+                     "--format --output"),
+        ("sensitivity", "--seed --occurrences --max-overlap --length --score --model --match "
+                        "--mismatch --format --output --precision"),
+        ("mc", "--seed --occurrences --max-overlap --length --score --model --samples "
+               "--rng-seed --match --mismatch --format --output --precision"),
+        ("optimize", "--weight --max-span --length --score --model --top --threads --match "
+                     "--mismatch --format --output --precision"),
+        ("curve", "--seed --occurrences --max-overlap --score --length-range --model --match "
+                  "--mismatch --format --output --precision"),
+        ("selfcheck", "--max-length --format --output"),
+    ])
+    def test_command_help_names_every_option(self, capsys, command, options):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        named = set(re.findall(r"--[a-z-]+", out))
+        assert set(options.split()) | {"--help"} <= named
 
     def test_selfcheck_failure_maps_to_4(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -188,6 +212,13 @@ class TestGenerate:
                       "--precision", "3")[0] == 2
         assert invoke(capsys, "count", "--length", "5", "--precision", "3")[0] == 2
         assert invoke(capsys, "selfcheck", "--max-length", "1", "--precision", "3")[0] == 2
+
+    def test_rng_seed_is_64_bit(self, capsys):
+        args = ("generate", "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1")
+        code, out, err = invoke(capsys, *args, "--rng-seed", str(2**64))
+        assert code == 2 and out == "" and "--rng-seed" in err
+        code, out, _ = invoke(capsys, *args, "--rng-seed", str(2**64 - 1))
+        assert code == 0 and out.splitlines()[0] == "11011"
 
     def test_free_score_beyond_old_length_cap(self, capsys):
         code, out, _ = invoke(capsys, "generate", "--length", "513", "--match", "1",
@@ -395,8 +426,14 @@ class TestOutputFile:
 
         monkeypatch.setattr(cli_mod, "count_homogeneous", no_work)
         target = tmp_path / "missing" / "out.txt"
-        # an empty path names no file either (it used to fall through to stdout)
-        for path, reason in ((str(target), "does not exist"), ("", "empty")):
+        locked = tmp_path / "locked.txt"
+        locked.write_text("")
+        # nothing may be written (a permission bit does not bind root)
+        monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
+        # an empty path names no file either (it used to fall through to stdout),
+        # and an existing directory is not a file
+        for path, reason in ((str(target), "does not exist"), ("", "empty"),
+                             (str(tmp_path), "is a directory"), (str(locked), "not writable")):
             code, out, err = invoke(capsys, "count", "--length", "5", "--output", path)
             assert code == 2
             assert out == ""

@@ -28,12 +28,17 @@ def test_one_process_pool():
     assert users == ["_pool.py"], f"modules that open a process pool: {users}"
 
 
-def test_trivial_command_loads_no_process_pool():
+def test_trivial_command_loads_no_pool_and_no_third_party_package():
     # a command that opens no pool does not import concurrent.futures: it is
-    # imported when a pool opens, and loading it costs every command's start-up
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); from seedsense.cli import run; "
-            "run(sys.argv[2:]); print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    # imported when a pool opens, and loading it costs every command's start-up.
+    # Nor does any command load a package from outside the standard library: the
+    # package declares no runtime dependency (what the interpreter loads before the
+    # command, such as site hooks, does not count)
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "from seedsense.cli import run; run(sys.argv[2:]); "
+            "roots = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(r for r in roots if r in ('concurrent', 'multiprocessing') "
+            "or r not in sys.stdlib_module_names and r != 'seedsense'))")
     proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), "count",
                            "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1"],
                           capture_output=True, text=True, timeout=60)
