@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
@@ -51,10 +50,6 @@ class RankedSeed:
     seed: Seed
     numerator: int
     denominator: int
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)

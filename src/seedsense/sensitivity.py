@@ -10,7 +10,7 @@ The program is ``counting.profile_counts`` run over the states of a scanner
 automaton, the same sweep that counts populations and builds the samplers.
 At each requested length it gives both sides of the answer: the count of
 score S summed over all states is the population, in the accept state the
-hits, and one division gives the exact rational probability. The scanner is
+hits, and that integer pair is the exact probability. The scanner is
 a deterministic automaton over {0, 1} whose state is the set of seed windows
 still alive, as a bitmask, plus the occurrences still needed: the Shift-And
 state of Baeza-Yates & Gonnet ("A new approach to text searching", CACM
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice, repeat
 
 from . import sampling
@@ -60,17 +59,12 @@ class SensitivityQuery:
 class SensitivityReport:
     """Exact hit probability as detected count over model population size."""
 
-    query: SensitivityQuery
     numerator: int
     denominator: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.numerator <= self.denominator:
             raise ValueError("need 0 <= numerator <= denominator")
-
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def decimal(self, digits: int = 6) -> str:
         return decimal_ratio(self.numerator, self.denominator, digits)
@@ -197,16 +191,18 @@ def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, 
     """
     if not lengths:
         raise ValueError("lengths must be nonempty")
-    queries = [SensitivityQuery(strategy, scheme, n, score, model) for n in lengths]
+    if min(lengths) < 1:
+        raise ValueError("length must be >= 1")
+    check_model(model, score)
     scanner = _scanner(strategy)
     profile = profile_counts(scanner.step0, scanner.step1, scanner.start, scanner.accept,
                              scheme, score, lengths, model)
     reports = []
-    for query in queries:
-        hits, population = profile[query.length]
+    for n in lengths:
+        hits, population = profile[n]
         if population == 0:
-            raise InfeasibleScore.empty(scheme, query.length, score, model)
-        reports.append(SensitivityReport(query, hits, population))
+            raise InfeasibleScore.empty(scheme, n, score, model)
+        reports.append(SensitivityReport(hits, population))
     return reports
 
 
@@ -223,7 +219,6 @@ def hit_probability(query: SensitivityQuery) -> SensitivityReport:
 
 @dataclass(frozen=True)
 class McEstimate:
-    query: SensitivityQuery
     samples: int
     hits: int
 
@@ -274,4 +269,4 @@ def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> 
     hits = 0
     while batch := list(islice(draws, sampling._BATCH)):
         hits += _hits(batch, n, query.strategy)
-    return McEstimate(query, samples, hits)
+    return McEstimate(samples, hits)

@@ -78,10 +78,11 @@ class TestFindOptimal:
             hits = sum(seed_detects(seed, a) for a in members)
             oracle.append((Fraction(-hits, len(members)), seed.pattern))
         oracle.sort()
-        assert [(e.seed.pattern, e.probability) for e in ranked.entries] == \
-            [(pattern, -key) for key, pattern in oracle]
-        assert ranked.entries[0].seed.pattern == "100101"
-        assert ranked.entries[0].probability == Fraction(7, 8)
+        assert [(e.seed.pattern, Fraction(e.numerator, e.denominator))
+                for e in ranked.entries] == [(pattern, -key) for key, pattern in oracle]
+        top = ranked.entries[0]
+        assert top.seed.pattern == "100101"
+        assert Fraction(top.numerator, top.denominator) == Fraction(7, 8)
 
     def test_parallel_equals_serial(self):
         spec = SearchSpec(3, 7, S13, 12, 8, HOMOGENEOUS, top_k=10)
@@ -141,26 +142,27 @@ class TestFindOptimal:
         scheme = ScoringScheme(s, p)
         spec = SearchSpec(weight, max_span, scheme, n, (n - q) * s - q * p, model,
                           top_k=seed_count(weight, max_span))
+        seeds = list(enumerate_seeds(weight, max_span))
         try:
             reports = [hit_probability(SensitivityQuery(DetectionStrategy(seed), scheme, n,
                                                         spec.score, model))
-                       for seed in enumerate_seeds(weight, max_span)]
+                       for seed in seeds]
         except InfeasibleScore:
             with pytest.raises(InfeasibleScore):
                 find_optimal(spec, threads=1)
             return
-        reports.sort(key=lambda r: (Fraction(-r.numerator, r.denominator),
-                                    r.query.strategy.seed.pattern))
+        standalone = sorted(zip(seeds, reports), key=lambda pair: (
+            Fraction(-pair[1].numerator, pair[1].denominator), pair[0].pattern))
         ranked = find_optimal(spec, threads=1)
         assert [(e.seed, e.numerator, e.denominator) for e in ranked.entries] == \
-            [(r.query.strategy.seed, r.numerator, r.denominator) for r in reports]
+            [(seed, r.numerator, r.denominator) for seed, r in standalone]
 
     def test_miscounted_population_raises(self, monkeypatch):
         # a sweep that reports another population than the one counted up front
         profile = search_mod.hit_probability_profile
 
         def miscounted(*args):
-            return [SensitivityReport(r.query, r.numerator, r.denominator + 1)
+            return [SensitivityReport(r.numerator, r.denominator + 1)
                     for r in profile(*args)]
         monkeypatch.setattr(search_mod, "hit_probability_profile", miscounted)
         with pytest.raises(RuntimeError, match="population"):

@@ -42,6 +42,10 @@ def query(pattern, scheme, n, total, model=HOMOGENEOUS, occurrences=1, overlap=0
     return SensitivityQuery(strategy(pattern, occurrences, overlap), scheme, n, total, model)
 
 
+def probability(report):
+    return Fraction(report.numerator, report.denominator)
+
+
 def feasible_scores(scheme, n):
     s, p = scheme.match_score, scheme.mismatch_penalty
     return [m * s - (n - m) * p for m in range(n + 1) if m * s - (n - m) * p >= 1]
@@ -82,13 +86,12 @@ class TestReports:
     def test_invariants(self):
         report = hit_probability(query("101", S11, 9, 3))
         assert 0 <= report.numerator <= report.denominator
-        assert 0 <= report.probability <= 1
+        assert report.denominator > 0
         assert report.decimal(3) == decimal_ratio(report.numerator, report.denominator, 3)
 
     def test_bad_fields_rejected(self):
-        q = query("1", S11, 3, 1)
         with pytest.raises(ValueError):
-            SensitivityReport(q, 5, 3)
+            SensitivityReport(5, 3)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
@@ -103,11 +106,11 @@ class TestTrivialValues:
     def test_weight_one_seed_is_certain_on_homogeneous(self):
         for scheme, n, total in ((S11, 7, 3), (S13, 9, 5), (S13, 12, 8)):
             report = hit_probability(query("1", scheme, n, total))
-            assert report.probability == 1
+            assert report.numerator == report.denominator
 
     def test_unique_member_contains_pair(self):
-        assert hit_probability(query("11", S11, 5, 3)).probability == 1
-        assert hit_probability(query("111", S11, 5, 3)).probability == 0
+        assert probability(hit_probability(query("11", S11, 5, 3))) == 1
+        assert probability(hit_probability(query("111", S11, 5, 3))) == 0
 
     def test_uniform_model_allows_nonpositive_scores(self):
         report = hit_probability(query("1", S11, 2, 0, UNIFORM))
@@ -117,9 +120,9 @@ class TestTrivialValues:
 
     def test_span_longer_than_alignment_is_zero(self):
         report = hit_probability(query("1" * 7, S11, 5, 3))
-        assert report.probability == 0
+        assert report.numerator == 0
         report = hit_probability(query("1" * 7, S11, 5, 3, UNIFORM))
-        assert report.probability == 0
+        assert report.numerator == 0
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleScore):
@@ -242,16 +245,16 @@ class TestMultiOccurrence:
     def test_monotone_in_occurrences(self):
         last = Fraction(1)
         for occurrences in (1, 2, 3):
-            prob = hit_probability(
-                query("101", S11, 14, 4, HOMOGENEOUS, occurrences, 0)).probability
+            prob = probability(hit_probability(
+                query("101", S11, 14, 4, HOMOGENEOUS, occurrences, 0)))
             assert prob <= last
             last = prob
 
     def test_monotone_in_overlap(self):
         last = Fraction(0)
         for overlap in (0, 1, 2):
-            prob = hit_probability(
-                query("101", S11, 12, 4, HOMOGENEOUS, 2, overlap)).probability
+            prob = probability(hit_probability(
+                query("101", S11, 12, 4, HOMOGENEOUS, 2, overlap)))
             assert prob >= last
             last = prob
 
@@ -267,8 +270,8 @@ class TestSeedWeakening:
                 for total in feasible_scores(scheme, n)[:3]:
                     for model in (HOMOGENEOUS, UNIFORM):
                         try:
-                            base = hit_probability(
-                                query(pattern, scheme, n, total, model)).probability
+                            base = probability(hit_probability(
+                                query(pattern, scheme, n, total, model)))
                         except InfeasibleScore:
                             continue
                         for i, ch in enumerate(pattern):
@@ -278,8 +281,8 @@ class TestSeedWeakening:
                             weak = weak.strip("0")
                             if not weak:
                                 continue
-                            prob = hit_probability(
-                                query(weak, scheme, n, total, model)).probability
+                            prob = probability(hit_probability(
+                                query(weak, scheme, n, total, model)))
                             assert prob >= base
 
 
@@ -314,13 +317,22 @@ class TestProfile:
         assert [r.denominator for r in reports] == \
             [count_homogeneous(S13, n, 40) for n in lengths]
 
-    def test_rejects_bad_arguments(self):
+    def test_rejects_bad_arguments(self, monkeypatch):
         with pytest.raises(ValueError):
             hit_probability_profile(strategy("1"), S11, 2, [])
         with pytest.raises(ValueError):
             hit_probability_profile(strategy("1"), S11, 2, [0])
         with pytest.raises(ValueError):
             hit_probability_profile(strategy("1"), S11, 2, [4], "markov")
+        # every length, the score and the model are checked before any scanner is built
+        built = TestHitAutomaton.builds(monkeypatch)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            hit_probability_profile(strategy("101"), S11, 3, [5, 0])
+        with pytest.raises(ValueError, match="homogeneous alignments require score >= 1"):
+            hit_probability_profile(strategy("101"), S11, 0, [5])
+        with pytest.raises(ValueError, match="model must be one of"):
+            hit_probability_profile(strategy("101"), S11, 3, [5], "markov")
+        assert built == []
 
 
 class TestHitAutomaton:
@@ -541,7 +553,7 @@ class TestMonteCarlo:
 
     def test_uniform_model_statistical_agreement(self):
         q = query("101", S13, 16, 8, UNIFORM)
-        exact = hit_probability(q).probability
+        exact = probability(hit_probability(q))
         result = mc_estimate(q, 4000, RandomStream(3))
         assert abs(result.estimate - float(exact)) <= 5 * result.stderr + 1e-9
 

@@ -33,11 +33,13 @@ def test_trivial_command_loads_no_pool_and_no_third_party_package():
     # imported when a pool opens, and loading it costs every command's start-up.
     # Nor does any command load a package from outside the standard library: the
     # package declares no runtime dependency (what the interpreter loads before the
-    # command, such as site hooks, does not count)
+    # command, such as site hooks, does not count). Answers are integer pairs, so no
+    # command loads fractions, or the decimal module that fractions imports
     code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
             "from seedsense.cli import run; run(sys.argv[2:]); "
             "roots = {m.split('.')[0] for m in set(sys.modules) - before}; "
-            "print(sorted(r for r in roots if r in ('concurrent', 'multiprocessing') "
+            "print(sorted(r for r in roots if r in ('concurrent', 'multiprocessing', "
+            "'fractions', 'decimal') "
             "or r not in sys.stdlib_module_names and r != 'seedsense'))")
     proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), "count",
                            "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1"],
