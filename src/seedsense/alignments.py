@@ -10,13 +10,44 @@ between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 ORACLE_LENGTH_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class ScoringScheme:
+class Record:
+    """A frozen record. A subclass names its fields as annotations, in order; a class
+    attribute of a field's name is its default. It gets what ``@dataclass(frozen=True)``
+    would generate: a positional or keyword constructor that then calls ``__post_init__``
+    if defined, equality and hash by value within the class, the same repr, and
+    ``AttributeError`` on assignment, without loading ``dataclasses`` and ``inspect``."""
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(cls.__annotations__)
+        params = ", ".join(f"{f}=_cls.{f}" if f in vars(cls) else f for f in fields)
+        sets = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+        check = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        mine = "".join(f"self.{f}, " for f in fields)
+        theirs = mine.replace("self.", "other.")
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):\n{sets}{check}"
+             "def __eq__(self, other):\n    if other.__class__ is not self.__class__:\n"
+             f"        return NotImplemented\n    return ({mine}) == ({theirs})\n"
+             f"def __hash__(self):\n    return hash(({mine}))\n", namespace)
+        for name in ("__init__", "__eq__", "__hash__"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, namespace[name])
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ScoringScheme(Record):
     """Per-letter scores: +match_score per match, -mismatch_penalty per mismatch."""
 
     match_score: int = 1
@@ -32,8 +63,7 @@ class ScoringScheme:
         return self.match_score if letter else -self.mismatch_penalty
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(Record):
     """A gapless alignment packed into an int; bit i-1 holds letter b_i (1 = match)."""
 
     length: int
@@ -60,8 +90,7 @@ class Alignment:
         return format(self.bits, f"0{self.length}b")[::-1]
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """Spaced-seed pattern over '1' (required match) and '0' (don't care).
 
     Canonical form: the pattern starts and ends with '1'. Any other pattern
@@ -96,8 +125,7 @@ class Seed:
         return self.pattern
 
 
-@dataclass(frozen=True)
-class DetectionStrategy:
+class DetectionStrategy(Record):
     """Hit rule: required_occurrences seed matches whose consecutive windows
     overlap by at most max_overlap letters (end positions at least
     span - max_overlap apart)."""

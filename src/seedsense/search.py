@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
 from ._pool import map_strided
-from .alignments import DetectionStrategy, ScoringScheme, Seed
+from .alignments import DetectionStrategy, Record, ScoringScheme, Seed
 from .counting import (HOMOGENEOUS, InfeasibleScore, check_model, count_homogeneous,
                        count_unconstrained)
 from .sensitivity import hit_probability_profile
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(Record):
     weight: int
     max_span: int
     scheme: ScoringScheme
@@ -45,15 +43,13 @@ class SearchSpec:
             raise ValueError("top_k must be >= 1")
 
 
-@dataclass(frozen=True)
-class RankedSeed:
+class RankedSeed(Record):
     seed: Seed
     numerator: int
     denominator: int
 
 
-@dataclass(frozen=True)
-class RankedSeeds:
+class RankedSeeds(Record):
     entries: tuple[RankedSeed, ...]
     candidate_count: int
     elapsed_seconds: float

@@ -8,12 +8,12 @@ CLI `selfcheck` command and the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .alignments import (
     Alignment,
     DetectionStrategy,
     ORACLE_LENGTH_LIMIT,
+    Record,
     ScoringScheme,
     Seed,
     enumerate_homogeneous,
@@ -30,8 +30,7 @@ from .sensitivity import hit_probability_profile
 CHECK_SCHEMES = (ScoringScheme(1, 1), ScoringScheme(1, 3), ScoringScheme(2, 3))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

@@ -32,17 +32,15 @@ mirror's 174 states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice, repeat
 
 from . import sampling
-from .alignments import DetectionStrategy, ScoringScheme, Seed, _admissible, _window_starts
+from .alignments import DetectionStrategy, Record, ScoringScheme, Seed, _admissible, _window_starts
 from .counting import HOMOGENEOUS, InfeasibleScore, check_model, profile_counts
 from .sampling import RandomStream
 
 
-@dataclass(frozen=True)
-class SensitivityQuery:
+class SensitivityQuery(Record):
     strategy: DetectionStrategy
     scheme: ScoringScheme
     length: int
@@ -55,8 +53,7 @@ class SensitivityQuery:
         check_model(self.model, self.score)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(Record):
     """Exact hit probability as detected count over model population size."""
 
     numerator: int
@@ -217,8 +214,7 @@ def hit_probability(query: SensitivityQuery) -> SensitivityReport:
     )[0]
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     samples: int
     hits: int
 

@@ -13,6 +13,12 @@ settings.register_profile("ci", max_examples=300, deadline=None, derandomize=Tru
 settings.load_profile("tier1")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--ci-corpus", action="store_true",
+                     help="also replay tests/corpus_ci.jsonl, the answers at lengths "
+                          "256 and 400 (about 4 s)")
+
+
 @pytest.fixture
 def usable_cpus(monkeypatch):
     """Set the CPUs the worker pool may use: ``usable_cpus(n)`` gives this process an

@@ -1,4 +1,4 @@
-"""Write the answer corpus: what every command line of a fixed grid prints.
+"""Write the answer corpora: what every command line of a fixed grid prints.
 
 Each line of ``corpus.jsonl``, beside this script, holds one command line
 (``argv``, as passed to ``seedsense.cli.run``), its exit code, the sha256 of
@@ -18,7 +18,12 @@ rejected command lines (exit 2 and 3) of ``test_cli.py``, except the
 unwritable ``--output`` file, which needs ``os.access`` patched. The usage
 errors pin argparse's wording, which is the same under Python 3.10 and 3.11.
 
-Only a change that alters an answer on purpose rewrites the corpus, and the
+``corpus_ci.jsonl`` holds the same kind of entries for a larger grid, which
+takes about 4 s and so is replayed only in CI, with ``pytest --ci-corpus``:
+``sensitivity`` at length 256 on the seeds, strategies and models above, and
+``count`` at length 400, each for all four schemes.
+
+Only a change that alters an answer on purpose rewrites the corpora, and the
 change lists every entry that moved.
 """
 
@@ -32,6 +37,7 @@ from pathlib import Path
 from seedsense.cli import run
 
 CORPUS = Path(__file__).with_name("corpus.jsonl")
+CI_CORPUS = Path(__file__).with_name("corpus_ci.jsonl")
 
 SCHEMES = [(1, 1), (1, 3), (2, 3), (3, 2)]
 SEEDS = ["1110010110111", "110100110010101111", "11111111111"]
@@ -60,32 +66,39 @@ def _scheme_args(scheme: tuple[int, int]) -> list[str]:
     return ["--match", str(scheme[0]), "--mismatch", str(scheme[1])]
 
 
+def _count_lines(scheme: tuple[int, int], n: int) -> list[list[str]]:
+    """``count`` at length n: the free score, fixed and ``all``-model scores, two formats."""
+    base = ["count", "--length", str(n), *_scheme_args(scheme)]
+    lines = [base]  # free score
+    scores = sorted({_score(scheme, n, q) for q in (0, n // 8, n // 4, n // 2)})
+    for score in scores:
+        if score >= 1:
+            lines.append([*base, "--score", str(score)])
+        lines.append([*base, "--score", str(score), "--model", "all"])
+    for fmt in FORMATS[1:]:
+        lines.append([*base, "--score", str(scores[-1]), "--format", fmt])
+    return lines
+
+
+def _sensitivity_lines(scheme: tuple[int, int], n: int) -> list[list[str]]:
+    """``sensitivity`` at length n: every seed and strategy in both models."""
+    score = str(_score(scheme, n, n // 6))
+    return [["sensitivity", "--seed", seed, "--occurrences", str(occurrences),
+             "--max-overlap", str(overlap), "--length", str(n), "--score", score,
+             "--model", model, *_scheme_args(scheme), "--format", "csv"]
+            for seed in SEEDS for occurrences, overlap in STRATEGIES
+            for model in ("homogeneous", "all")]
+
+
 def command_lines() -> list[list[str]]:
     from test_acceptance import ENUMERATED_ROWS, LENGTH
 
     lines = []
     for scheme in SCHEMES:
         for n in (1, 17, 64, 128):
-            base = ["count", "--length", str(n), *_scheme_args(scheme)]
-            lines.append(base)  # free score
-            scores = sorted({_score(scheme, n, q) for q in (0, n // 8, n // 4, n // 2)})
-            for score in scores:
-                if score >= 1:
-                    lines.append([*base, "--score", str(score)])
-                lines.append([*base, "--score", str(score), "--model", "all"])
-            fmt_score = str(scores[-1])
-            for fmt in FORMATS[1:]:
-                lines.append([*base, "--score", fmt_score, "--format", fmt])
+            lines += _count_lines(scheme, n)
         for n in (40, 64, 128):
-            score = str(_score(scheme, n, n // 6))
-            for seed in SEEDS:
-                for occurrences, overlap in STRATEGIES:
-                    for model in ("homogeneous", "all"):
-                        lines.append(["sensitivity", "--seed", seed,
-                                      "--occurrences", str(occurrences),
-                                      "--max-overlap", str(overlap), "--length", str(n),
-                                      "--score", score, "--model", model,
-                                      *_scheme_args(scheme), "--format", "csv"])
+            lines += _sensitivity_lines(scheme, n)
         for fmt in ("text", "json"):
             lines.append(["sensitivity", "--seed", SEEDS[0], "--length", "40",
                           "--score", str(_score(scheme, 40, 6)), *_scheme_args(scheme),
@@ -170,12 +183,20 @@ def command_lines() -> list[list[str]]:
     return lines
 
 
+def ci_command_lines() -> list[list[str]]:
+    """The larger grid, replayed only with ``--ci-corpus``: the ``sensitivity`` lines
+    at length 256 and the ``count`` lines at length 400, for every scheme."""
+    return [line for scheme in SCHEMES
+            for line in _sensitivity_lines(scheme, 256) + _count_lines(scheme, 400)]
+
+
 def main() -> None:
-    entries = [replay(argv) for argv in command_lines()]
-    CORPUS.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
-    codes = [entry["exit"] for entry in entries]
-    print(f"{CORPUS.name}: {len(entries)} command lines, "
-          f"{codes.count(0)} exit 0, {len(codes) - codes.count(0)} rejected", file=sys.stderr)
+    for path, lines in ((CORPUS, command_lines()), (CI_CORPUS, ci_command_lines())):
+        entries = [replay(argv) for argv in lines]
+        path.write_text("".join(json.dumps(entry) + "\n" for entry in entries))
+        codes = [entry["exit"] for entry in entries]
+        print(f"{path.name}: {len(entries)} command lines, {codes.count(0)} exit 0, "
+              f"{len(codes) - codes.count(0)} rejected", file=sys.stderr)
 
 
 if __name__ == "__main__":

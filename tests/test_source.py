@@ -34,18 +34,32 @@ def test_trivial_command_loads_no_pool_and_no_third_party_package():
     # Nor does any command load a package from outside the standard library: the
     # package declares no runtime dependency (what the interpreter loads before the
     # command, such as site hooks, does not count). Answers are integer pairs, so no
-    # command loads fractions, or the decimal module that fractions imports
+    # command loads fractions, or the decimal module that fractions imports. The
+    # records are built without dataclasses, so no command loads it or inspect
     code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
             "from seedsense.cli import run; run(sys.argv[2:]); "
             "roots = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(r for r in roots if r in ('concurrent', 'multiprocessing', "
-            "'fractions', 'decimal') "
+            "'fractions', 'decimal', 'dataclasses', 'inspect') "
             "or r not in sys.stdlib_module_names and r != 'seedsense'))")
     proc = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent), "count",
                            "--length", "5", "--score", "3", "--match", "1", "--mismatch", "1"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["1", "[]"]
+
+
+def test_no_module_imports_dataclasses():
+    # every record derives from alignments.Record; importing dataclasses would load
+    # inspect, ast, dis and tokenize at every command's start-up
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert not found, f"dataclasses imported at: {found}"
 
 
 def test_one_count_recurrence():
