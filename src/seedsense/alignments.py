@@ -10,6 +10,8 @@ between.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 ORACLE_LENGTH_LIMIT = 20
 
 
@@ -195,47 +197,48 @@ def seed_detects(seed: Seed, alignment: Alignment) -> bool:
     return False
 
 
-def _window_starts(bits: int, mask: int, starts: int) -> int:
-    """The bits of `starts` at which a window of `bits` matches every required position.
+def _detected(strategy: DetectionStrategy, n: int, bits: int, ones: int, top: int) -> int:
+    """How many lanes of `bits`, each a length-n alignment, the strategy detects.
 
-    Bit i survives iff ``bits >> i`` has every bit of `mask`: the AND of
-    ``bits >> p`` over the required positions p. It works on any int, so
-    `bits` may hold many alignments in lanes, with `starts` marking the
-    window starts that lie inside each lane.
+    A lane has its low bit in `ones` and a spare top bit in `top`, at or above
+    bit n; one alignment is one lane (``ones = 1``, ``top = 1 << n``). A window
+    start i survives when ``bits >> i`` has every required position p: the AND
+    of ``bits >> p`` over the p, in every lane at once. Then greedy
+    earliest-admissible selection, optimal for a minimum-gap constraint (the
+    gap between two starts equals the gap between their ends), runs in every
+    lane at once: subtracting `ones` under the top bits, which absorb every
+    borrow (Lamport, "Multiple byte processing with full-word instructions",
+    CACM 1975), finds each lane's lowest start.
     """
+    seed = strategy.seed
+    mask = seed.required_mask
+    found = ones * ((1 << max(n - seed.span + 1, 0)) - 1)  # the window starts of each lane
     while mask:
-        p = (mask & -mask).bit_length() - 1
-        starts &= bits >> p
+        found &= bits >> (mask & -mask).bit_length() - 1
         mask &= mask - 1
-    return starts
-
-
-def _admissible(found: int, needed: int, min_gap: int, ones: int, top: int) -> int:
-    """How many lanes of `found` hold `needed` window starts at least min_gap apart.
-
-    A lane has its low bit in `ones` and a spare top bit in `top`, at or
-    above its last start plus min_gap; one alignment is one lane (``ones =
-    1``). Greedy earliest-admissible selection, optimal for a minimum-gap
-    constraint (the gap between two starts equals the gap between their
-    ends), runs in every lane at once: subtracting `ones` under the top bits,
-    which absorb every borrow (Lamport, "Multiple byte processing with
-    full-word instructions", CACM 1975), finds each lane's lowest start.
-    """
-    for _ in range(needed - 1):
+    gap = seed.span - strategy.max_overlap  # the least distance between two occurrences
+    for _ in range(strategy.required_occurrences - 1):
         first = found & ~((found | top) - ones)  # each lane's lowest start
-        found &= ~((first << min_gap | top) - ones)  # drop the starts less than min_gap after it
+        found &= ~((first << gap | top) - ones)  # drop the starts less than gap after it
     return ((found | top) - ones & top).bit_count()
+
+
+def count_detected(strategy: DetectionStrategy, n: int, draws: list[int]) -> int:
+    """How many of the length-n alignments `draws`, as bit strings, the strategy detects.
+
+    Each sits in its own byte-aligned lane of one int, with a spare top bit
+    at or above bit n, and ``_detected`` scans every lane at once.
+    """
+    width = n // 8 + 1  # bytes per lane: n letters and the spare top bit
+    lanes = b"".join(map(int.to_bytes, draws, repeat(width), repeat("little")))
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(draws), "little")
+    return _detected(strategy, n, int.from_bytes(lanes, "little"), ones, ones << 8 * width - 1)
 
 
 def strategy_detects(strategy: DetectionStrategy, alignment: Alignment) -> bool:
     """True iff there are required_occurrences seed matches with consecutive
-    end positions at least span - max_overlap apart (``_admissible`` on one lane)."""
-    seed = strategy.seed
-    n = alignment.length
-    found = _window_starts(alignment.bits, seed.required_mask,
-                           (1 << max(n - seed.span + 1, 0)) - 1)
-    return _admissible(found, strategy.required_occurrences,
-                       seed.span - strategy.max_overlap, 1, 1 << n) == 1
+    end positions at least span - max_overlap apart (``_detected`` on one lane)."""
+    return _detected(strategy, alignment.length, alignment.bits, 1, 1 << alignment.length) == 1
 
 
 def enumerate_homogeneous(scheme: ScoringScheme, n: int,

@@ -31,14 +31,9 @@ from .counting import (
     count_unconstrained,
     mismatch_count,
 )
-from .sampling import RandomStream, sample_fixed, sample_free
+from .sampling import RandomStream, mc_estimate, sample_fixed, sample_free
 from .search import SearchSpec, find_optimal
-from .sensitivity import (
-    SensitivityQuery,
-    decimal_ratio,
-    hit_probability_profile,
-    mc_estimate,
-)
+from .sensitivity import SensitivityQuery, decimal_ratio, hit_probability_profile
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0

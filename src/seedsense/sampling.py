@@ -42,19 +42,26 @@ builds its own population.
 A sample stays an int bit string through the draw and the workers;
 ``sample_fixed`` and ``sample_free`` return each one as its 0/1 text, the
 ``str`` of its ``Alignment``, with no ``Alignment`` object built per sample.
+``mc_estimate``, the Monte-Carlo estimate of a sensitivity query, lives here
+too: it reads one ``_draw`` stream a rank batch at a time and leaves the
+detection of each batch to ``alignments.count_detected``.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from bisect import bisect_right
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._pool import map_strided
-from .alignments import ScoringScheme
+from .alignments import Record, ScoringScheme, count_detected
 from .counting import HOMOGENEOUS, InfeasibleScore, class_steps, count_homogeneous, positive_scores
+
+if TYPE_CHECKING:
+    from .sensitivity import SensitivityQuery
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -340,3 +347,39 @@ def sample_free(scheme: ScoringScheme, n: int, count: int,
     """Uniform samples over all homogeneous alignments of length n, any score,
     each as its 0/1 text like ``sample_fixed``."""
     return _sample(scheme, n, None, count, stream, workers)
+
+
+class McEstimate(Record):
+    samples: int
+    hits: int
+
+    @property
+    def estimate(self) -> float:
+        return self.hits / self.samples
+
+    @property
+    def stderr(self) -> float:
+        f = self.hits / self.samples
+        return math.sqrt(f * (1.0 - f) / self.samples)
+
+
+def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:
+    """Monte-Carlo hit-rate estimate with binomial standard error.
+
+    One ``_draw`` stream serves the whole request, and it is read one rank
+    batch (``_BATCH`` samples) at a time, so memory does not grow with the
+    sample count; ``alignments.count_detected`` scans each batch at once,
+    each sample in its own lane of one int. Every rank, sample and hit count
+    is the one the sample-by-sample definition gives. Under the homogeneous
+    model, sample i is the one ``generate`` draws as sample i of the same
+    stream; under ``all`` it is the ``all`` population's member of that rank,
+    which ``generate`` never draws.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n = query.length
+    draws = _draw(range(samples), query.scheme, n, query.score, stream.seed, query.model)
+    hits = 0
+    while batch := list(islice(draws, _BATCH)):
+        hits += count_detected(query.strategy, n, batch)
+    return McEstimate(samples, hits)

@@ -31,13 +31,10 @@ mirror's 174 states.
 
 from __future__ import annotations
 
-import math
-from itertools import islice, repeat
+from itertools import islice
 
-from . import sampling
-from .alignments import DetectionStrategy, Record, ScoringScheme, Seed, _admissible, _window_starts
+from .alignments import DetectionStrategy, Record, ScoringScheme, Seed
 from .counting import HOMOGENEOUS, InfeasibleScore, check_model, profile_counts
-from .sampling import RandomStream
 
 
 class SensitivityQuery(Record):
@@ -212,57 +209,3 @@ def hit_probability(query: SensitivityQuery) -> SensitivityReport:
     return hit_probability_profile(
         query.strategy, query.scheme, query.score, [query.length], query.model
     )[0]
-
-
-class McEstimate(Record):
-    samples: int
-    hits: int
-
-    @property
-    def estimate(self) -> float:
-        return self.hits / self.samples
-
-    @property
-    def stderr(self) -> float:
-        f = self.hits / self.samples
-        return math.sqrt(f * (1.0 - f) / self.samples)
-
-
-def _hits(draws: list[int], n: int, strategy: DetectionStrategy) -> int:
-    """How many of the length-n alignments `draws` the strategy detects, scanned together.
-
-    Each alignment sits in its own byte-aligned lane of one int, with a spare
-    top bit at or above bit n, and ``_window_starts`` on that int marks the
-    matching window starts of every lane at once. The occurrence greedy,
-    ``_admissible``, then runs on every lane at once and counts the lanes it
-    hits.
-    """
-    seed = strategy.seed
-    width = n // 8 + 1  # bytes per lane: n letters and the spare top bit
-    lanes = b"".join(map(int.to_bytes, draws, repeat(width), repeat("little")))
-    ones = int.from_bytes((b"\1" + bytes(width - 1)) * len(draws), "little")
-    found = _window_starts(int.from_bytes(lanes, "little"), seed.required_mask,
-                           ones * ((1 << max(n - seed.span + 1, 0)) - 1))
-    return _admissible(found, strategy.required_occurrences, seed.span - strategy.max_overlap,
-                       ones, ones << 8 * width - 1)
-
-
-def mc_estimate(query: SensitivityQuery, samples: int, stream: RandomStream) -> McEstimate:
-    """Monte-Carlo hit-rate estimate with binomial standard error.
-
-    Sample i is the one ``generate`` draws as sample i of the same stream:
-    one ``_draw`` stream serves the whole request, and it is read one rank
-    batch (``sampling._BATCH`` samples) at a time, so memory does not grow
-    with the sample count. ``_hits`` scans each batch at once, each sample in
-    its own lane of one int. Every rank, sample and hit count is the one the
-    sample-by-sample definition gives.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = query.length
-    draws = sampling._draw(range(samples), query.scheme, n, query.score, stream.seed,
-                           query.model)
-    hits = 0
-    while batch := list(islice(draws, sampling._BATCH)):
-        hits += _hits(batch, n, query.strategy)
-    return McEstimate(samples, hits)

@@ -38,14 +38,9 @@ from seedsense.alignments import (
 )
 from seedsense.cli import run as cli_run
 from seedsense.counting import HOMOGENEOUS, UNIFORM, count_homogeneous
-from seedsense.sampling import RandomStream, sample_fixed
+from seedsense.sampling import RandomStream, mc_estimate, sample_fixed
 from seedsense.search import SearchSpec, find_optimal
-from seedsense.sensitivity import (
-    SensitivityQuery,
-    hit_probability,
-    hit_probability_profile,
-    mc_estimate,
-)
+from seedsense.sensitivity import SensitivityQuery, hit_probability, hit_probability_profile
 from seedsense.selfcheck import (
     check_counts_match_enumeration,
     check_homogeneity_criteria_agree,

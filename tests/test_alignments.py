@@ -8,6 +8,7 @@ from seedsense.alignments import (
     DetectionStrategy,
     ScoringScheme,
     Seed,
+    count_detected,
     enumerate_homogeneous,
     is_homogeneous,
     is_homogeneous_segments,
@@ -199,3 +200,27 @@ class TestStrategyDetects:
         strategy = DetectionStrategy(Seed(pattern), occurrences, overlap)
         expected = subset_detects(bits, n, pattern, occurrences, overlap)
         assert strategy_detects(strategy, Alignment(n, bits)) == expected
+
+
+class TestCountDetected:
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 63, 64, 65])
+    def test_byte_lane_boundaries(self, n):
+        # a lane is n // 8 + 1 bytes, so when 8 divides n its spare top bit opens a byte
+        # of its own. Every batch holds, among random draws, the all-match alignment,
+        # with a window at every start of its lane, and one whose only window ends on
+        # the lane's last letter
+        rng = random.Random(n)
+        for span in sorted({1, 2, 3, n // 2, n - 1, n}):
+            pattern = "1" if span == 1 else \
+                "1" + "".join(rng.choice("01") for _ in range(span - 2)) + "1"
+            for occurrences in (1, 2, 3):
+                for overlap in sorted({0, span - 1}):
+                    strategy = DetectionStrategy(Seed(pattern), occurrences, overlap)
+                    draws = [rng.getrandbits(n) | rng.getrandbits(n)
+                             for _ in range(rng.randint(0, 4))]
+                    for bits in ((1 << n) - 1, Seed(pattern).required_mask << n - span):
+                        draws.insert(rng.randint(0, len(draws)), bits)
+                    expected = sum(subset_detects(bits, n, pattern, occurrences, overlap)
+                                   for bits in draws)
+                    assert count_detected(strategy, n, draws) == expected, \
+                        (pattern, occurrences, overlap, draws)

@@ -7,9 +7,10 @@ import pickle
 import pytest
 
 from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed
+from seedsense.sampling import McEstimate
 from seedsense.search import RankedSeed, RankedSeeds, SearchSpec
 from seedsense.selfcheck import CheckResult
-from seedsense.sensitivity import McEstimate, SensitivityQuery, SensitivityReport
+from seedsense.sensitivity import SensitivityQuery, SensitivityReport
 
 SEED = Seed("1101")
 STRATEGY = DetectionStrategy(SEED, 2, 1)

@@ -5,12 +5,10 @@ from math import comb
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import seedsense.sampling as sampling_mod
 import seedsense.sensitivity as sensitivity_mod
-from seedsense.alignments import Alignment, DetectionStrategy, ScoringScheme, Seed, strategy_detects
+from seedsense.alignments import DetectionStrategy, ScoringScheme, Seed
 from seedsense.counting import (HOMOGENEOUS, UNIFORM, InfeasibleScore, count_homogeneous,
                                 profile_counts)
-from seedsense.sampling import RandomStream, _draw, sample_fixed
 from seedsense.sensitivity import (
     SensitivityQuery,
     SensitivityReport,
@@ -19,7 +17,6 @@ from seedsense.sensitivity import (
     decimal_ratio,
     hit_probability,
     hit_probability_profile,
-    mc_estimate,
 )
 
 from oracles import hit_fractions, moore_class_count, subset_detects
@@ -437,139 +434,6 @@ class TestHitAutomaton:
                                                                 n, bits)
                     if n < 80:
                         state = (auto.step1 if bits >> n & 1 else auto.step0)[state]
-
-
-class TestMonteCarlo:
-    @pytest.mark.parametrize("batch", [
-        pytest.param(None, id="one-batch"),
-        # the runs of 1 to 60 samples end mid-batch as well as on a batch boundary
-        pytest.param(7, id="batches-of-7"),
-        pytest.param(3, id="batches-of-3"),
-    ])
-    def test_shares_draws_with_generate(self, batch, monkeypatch):
-        # mc and generate draw sample i of a stream from one population and rank,
-        # so every prefix of a generate run holds exactly the hits of mc
-        if batch:
-            monkeypatch.setattr(sampling_mod, "_BATCH", batch)
-        for pattern, occurrences, n, total, rng_seed in (("1111111", 1, 24, 8, 12),
-                                                         ("11111", 2, 24, 8, 3),
-                                                         ("1110010110111", 1, 40, 12, 5)):
-            q = query(pattern, S13, n, total, occurrences=occurrences)
-            drawn = [Alignment.from_string(text)
-                     for text in sample_fixed(S13, n, total, 60, RandomStream(rng_seed))]
-            detected = [strategy_detects(q.strategy, a) for a in drawn]
-            assert 0 < sum(detected) < len(detected)
-            for samples in range(1, len(drawn) + 1):
-                assert mc_estimate(q, samples, RandomStream(rng_seed)).hits == \
-                    sum(detected[:samples])
-
-    @settings(deadline=None, derandomize=True)
-    @given(s=st.integers(1, 3), p=st.integers(1, 3),
-           interior=st.lists(st.sampled_from("01"), max_size=10), single=st.booleans(),
-           occurrences=st.integers(1, 3), model=st.sampled_from([HOMOGENEOUS, UNIFORM]),
-           samples=st.integers(1, 150), rng_seed=st.integers(0, (1 << 64) - 1),
-           batch=st.integers(1, 64), data=st.data())
-    def test_hits_equal_subset_oracle(self, s, p, interior, single, occurrences, model,
-                                      samples, rng_seed, batch, data):
-        # the lane-packed scan, `batch` samples to an int, against literal subset
-        # checks of the same draws, for seeds of span <= 12 and lengths below, at
-        # and above the span
-        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
-        span = len(pattern)
-        overlap = data.draw(st.integers(0, span - 1), label="overlap")
-        n = data.draw(st.one_of(st.integers(1, span), st.integers(1, 80)), label="length")
-        # a homogeneous score is positive
-        q = data.draw(st.integers(0, (n * s - 1) // (s + p) if model == HOMOGENEOUS else n),
-                      label="mismatches")
-        total = (n - q) * s - q * p
-        scheme = ScoringScheme(s, p)
-        query_ = SensitivityQuery(strategy(pattern, occurrences, overlap), scheme, n, total,
-                                  model)
-        try:
-            if model == HOMOGENEOUS:
-                draws = [Alignment.from_string(text).bits for text in
-                         sample_fixed(scheme, n, total, samples, RandomStream(rng_seed))]
-            else:
-                draws = list(_draw(range(samples), scheme, n, total, rng_seed, model))
-        except InfeasibleScore:
-            with pytest.raises(InfeasibleScore):
-                mc_estimate(query_, samples, RandomStream(rng_seed))
-            return
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sampling_mod, "_BATCH", batch)
-            hits = mc_estimate(query_, samples, RandomStream(rng_seed)).hits
-        assert hits == sum(subset_detects(bits, n, pattern, occurrences, overlap)
-                           for bits in draws)
-
-    @pytest.mark.parametrize("model", [HOMOGENEOUS, UNIFORM])
-    def test_one_population_per_request(self, model, monkeypatch):
-        # 100 samples in batches of 7: one population serves the whole request,
-        # and _hits never holds more than a batch
-        populations = []
-        batches = []
-        population, hits = sampling_mod._population, sensitivity_mod._hits
-        monkeypatch.setattr(sampling_mod, "_BATCH", 7)
-        monkeypatch.setattr(sampling_mod, "_population",
-                            lambda *args: populations.append(args) or population(*args))
-        monkeypatch.setattr(sensitivity_mod, "_hits",
-                            lambda draws, *args: batches.append(len(draws)) or hits(draws, *args))
-        mc_estimate(query("1110010110111", S13, 40, 12, model), 100, RandomStream(4))
-        assert len(populations) == 1
-        assert batches == [7] * 14 + [2]
-
-    def test_certain_seed(self):
-        result = mc_estimate(query("1", S13, 9, 5), 500, RandomStream(0))
-        assert result.estimate == 1.0
-        assert result.stderr == 0.0
-
-    def test_last_letter_of_a_full_lane(self):
-        # every length-8 string with one match is hit by seed "1", also with its
-        # match in the last letter, bit 7 of a lane whose spare top bit is bit 15
-        result = mc_estimate(query("1", S11, 8, -6, UNIFORM), 200, RandomStream(1))
-        assert result.hits == 200
-
-    @pytest.mark.parametrize("n", [15, 39, 47])
-    @pytest.mark.parametrize("extra", [0, 1], ids=["hit", "miss"])
-    def test_last_cut_on_the_spare_top_bit(self, n, extra):
-        # n = 8 * width - 1: the spare top bit of a lane is bit n. The all-match string
-        # alone scores n under (1, 1), and "111" without overlap fits n // 3 times; asked
-        # for one more, the greedy cuts after the start n - 3, at bit n itself
-        occurrences = n // 3 + extra
-        assert strategy_detects(strategy("111", occurrences), Alignment(n, (1 << n) - 1)) \
-            == (not extra)
-        for model in (HOMOGENEOUS, UNIFORM):
-            result = mc_estimate(query("111", S11, n, n, model, occurrences), 50,
-                                 RandomStream(1))
-            assert result.hits == (0 if extra else 50)
-
-    def test_impossible_seed(self):
-        result = mc_estimate(query("111", S11, 5, 3), 200, RandomStream(0))
-        assert result.hits == 0
-
-    def test_deterministic(self):
-        a = mc_estimate(query("1011", S13, 14, 6), 300, RandomStream(12))
-        b = mc_estimate(query("1011", S13, 14, 6), 300, RandomStream(12))
-        assert a.hits == b.hits
-
-    def test_uniform_model_statistical_agreement(self):
-        q = query("101", S13, 16, 8, UNIFORM)
-        exact = probability(hit_probability(q))
-        result = mc_estimate(q, 4000, RandomStream(3))
-        assert abs(result.estimate - float(exact)) <= 5 * result.stderr + 1e-9
-
-    def test_uniform_model_samples_have_exact_score(self):
-        # the uniform-model sampler is internal; validate through its estimates
-        q = query("1", S13, 10, 6, UNIFORM)  # weight-1 seed detects iff any match exists
-        result = mc_estimate(q, 300, RandomStream(4))
-        assert result.estimate == 1.0
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleScore):
-            mc_estimate(query("11", S13, 5, 2), 10, RandomStream(0))
-        with pytest.raises(InfeasibleScore):
-            mc_estimate(query("11", S13, 5, 2, UNIFORM), 10, RandomStream(0))
-        with pytest.raises(ValueError):
-            mc_estimate(query("11", S11, 5, 3), 0, RandomStream(0))
 
 
 class TestScannerProperties:

@@ -99,6 +99,31 @@ def test_lane_format_has_one_home():
     assert users == {"counting.py"}, f"modules that name the lane format: {sorted(users)}"
 
 
+def test_modules_keep_to_their_boundaries():
+    # a module reads another only through its public names (selfcheck, which checks
+    # the internals against their oracles, excepted), and the exact program draws no
+    # samples: sensitivity and search import nothing from sampling
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = path.stem == "selfcheck"
+        siblings = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                    for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    module, name = (node.module, alias.name) if node.module else (alias.name, "")
+                    if path.stem in ("sensitivity", "search") and module == "sampling":
+                        found.append(f"{path.name}:{node.lineno} imports sampling")
+                    elif name.startswith("_") and not own:
+                        found.append(f"{path.name}:{node.lineno} imports {module}.{name}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and node.attr.startswith("_") and not own):
+                found.append(f"{path.name}:{node.lineno} reads {node.value.id}.{node.attr}")
+    assert not found, f"imports across module boundaries: {found}"
+
+
 def _module_names(path: Path) -> set[str]:
     # the names a module defines itself: a def, a class or an assignment at its top level
     names = set()
