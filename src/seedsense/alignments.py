@@ -81,11 +81,8 @@ class Alignment(Record):
     def from_string(cls, text: str) -> Alignment:
         if not text or set(text) - {"0", "1"}:
             raise ValueError(f"alignment must be a nonempty 0/1 string, got {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        # letter b_1 is bit 0: the text reversed, read as a binary numeral
+        return cls(len(text), int(text[::-1], 2))
 
     def __str__(self) -> str:
         # letter b_1 first: the binary numeral, zero-padded to the length, reversed
@@ -117,11 +114,9 @@ class Seed(Record):
 
     @property
     def required_mask(self) -> int:
-        mask = 0
-        for i, ch in enumerate(self.pattern):
-            if ch == "1":
-                mask |= 1 << i
-        return mask
+        # bit i is set when position i is required: the pattern read as a binary
+        # numeral, last position first
+        return int(self.pattern[::-1], 2)
 
     def __str__(self) -> str:
         return self.pattern

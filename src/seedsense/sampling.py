@@ -354,10 +354,6 @@ class McEstimate(Record):
     hits: int
 
     @property
-    def estimate(self) -> float:
-        return self.hits / self.samples
-
-    @property
     def stderr(self) -> float:
         f = self.hits / self.samples
         return math.sqrt(f * (1.0 - f) / self.samples)

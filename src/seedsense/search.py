@@ -12,8 +12,6 @@ center (see ``sensitivity._scanner``).
 
 from __future__ import annotations
 
-import math
-import time
 from itertools import combinations
 from typing import Iterator
 
@@ -52,7 +50,6 @@ class RankedSeed(Record):
 class RankedSeeds(Record):
     entries: tuple[RankedSeed, ...]
     candidate_count: int
-    elapsed_seconds: float
 
 
 def enumerate_seeds(weight: int, max_span: int) -> Iterator[Seed]:
@@ -75,11 +72,6 @@ def enumerate_seeds(weight: int, max_span: int) -> Iterator[Seed]:
             yield Seed(pattern)
 
 
-def seed_count(weight: int, max_span: int) -> int:
-    """Closed form for the enumeration size."""
-    return sum(math.comb(span - 2, weight - 2) for span in range(weight, max_span + 1))
-
-
 def _hit_counts(patterns: list[str], spec: SearchSpec, population: int) -> list[int]:
     hits = []
     for pattern in patterns:
@@ -97,7 +89,6 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
     Candidates are spread over `threads` worker processes, at most one per
     usable CPU (default: one per usable CPU); the ranking is the same for any count.
     """
-    started = time.perf_counter()
     count = count_homogeneous if spec.model == HOMOGENEOUS else count_unconstrained
     population = count(spec.scheme, spec.length, spec.score)
     # an empty population fails every candidate alike, so it fails before any worker starts
@@ -111,4 +102,4 @@ def find_optimal(spec: SearchSpec, threads: int | None = None) -> RankedSeeds:
                     map_strided(_hit_counts, representatives, workers, spec, population)))
     kept = sorted(patterns, key=lambda p: (-hits[min(p, p[::-1])], p))[: spec.top_k]
     entries = tuple(RankedSeed(Seed(p), hits[min(p, p[::-1])], population) for p in kept)
-    return RankedSeeds(entries, len(patterns), time.perf_counter() - started)
+    return RankedSeeds(entries, len(patterns))

@@ -138,7 +138,7 @@ def check_sampler_bijection(max_length: int) -> CheckResult:
                        f"every nonempty class and free population to length {max_length}")
 
 
-def check_hits_match_enumeration(max_length: int, rng_seed: int = 11) -> CheckResult:
+def check_hits_match_enumeration(max_length: int) -> CheckResult:
     """Hit counts and populations of the sensitivity program equal enumeration.
 
     Four random strategies per scheme (span <= 6, 1-3 occurrences, any
@@ -146,7 +146,7 @@ def check_hits_match_enumeration(max_length: int, rng_seed: int = 11) -> CheckRe
     homogeneous alignments to max_length, and against every sequence of the
     score, the ``all`` model, to length 12.
     """
-    rng = random.Random(rng_seed)
+    rng = random.Random(11)
     cases = 0
     for scheme in CHECK_SCHEMES:
         strategies = []
@@ -177,10 +177,10 @@ def check_hits_match_enumeration(max_length: int, rng_seed: int = 11) -> CheckRe
                        f"{cases} (strategy, length, score, model) cases to length {max_length}")
 
 
-def check_single_occurrence_consistency(cases: int = 100, rng_seed: int = 6) -> CheckResult:
+def check_single_occurrence_consistency() -> CheckResult:
     """A one-occurrence strategy detects exactly when the bare seed does."""
-    rng = random.Random(rng_seed)
-    for _ in range(cases):
+    rng = random.Random(6)
+    for _ in range(100):
         seed = _random_seed(rng, 8)
         n = rng.randint(1, 16)
         a = Alignment(n, rng.getrandbits(n))
@@ -189,14 +189,14 @@ def check_single_occurrence_consistency(cases: int = 100, rng_seed: int = 6) -> 
         if strategy_detects(strategy, a) != seed_detects(seed, a):
             return CheckResult("single-occurrence-consistency", False,
                                f"seed {seed} on {a} (max_overlap {omega})")
-    return CheckResult("single-occurrence-consistency", True, f"{cases} random pairs")
+    return CheckResult("single-occurrence-consistency", True, "100 random pairs")
 
 
-def check_sampler_validity(rng_seed: int = 7) -> CheckResult:
+def check_sampler_validity() -> CheckResult:
     """Every generated alignment is homogeneous, with the exact score when fixed."""
     scheme = ScoringScheme(1, 3)
     n, target = 14, 6
-    stream = RandomStream(rng_seed)
+    stream = RandomStream(7)
     for a in map(Alignment.from_string, sample_fixed(scheme, n, target, 300, stream)):
         if not is_homogeneous(a, scheme) or score(a, scheme) != target:
             return CheckResult("sampler-validity", False, f"bad fixed-score sample {a}")
@@ -217,7 +217,7 @@ def check_endpoints_are_matches(max_length: int) -> CheckResult:
     return CheckResult("endpoints-are-matches", True, f"lengths to {max_length}")
 
 
-def run_selfcheck(max_length: int = 14) -> list[CheckResult]:
+def run_selfcheck(max_length: int) -> list[CheckResult]:
     """Run every consistency suite; heavier enumerations honor max_length."""
     if not 1 <= max_length <= ORACLE_LENGTH_LIMIT:
         raise ValueError(f"max_length must be in [1, {ORACLE_LENGTH_LIMIT}]")

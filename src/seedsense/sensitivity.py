@@ -83,11 +83,17 @@ def decimal_ratio(numerator: int, denominator: int, digits: int = 6) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-class _HitAutomaton:
-    """Left-to-right scanner for a detection strategy.
+# every scanner's state ids: the absorbing accept, then the start
+_ACCEPT, _START = 0, 1
+
+
+def _hit_automaton(strategy: DetectionStrategy) -> tuple[list[int], list[int]]:
+    """Left-to-right scanner for a detection strategy, as its two transition
+    tables (step0, step1): ``step0[i]`` is the state after state i reads a
+    mismatch, ``step1[i]`` after a match.
 
     States are (live windows, occurrences still needed), keyed on the one int
-    ``remaining << span | live``; state 0, key 0, is the absorbing accept.
+    ``remaining << span | live``; the accept state ``_ACCEPT`` has key 0.
     Bit d of the live set marks the seed window that started d letters ago
     and still matches every required position read so far (the Shift-And
     state of Baeza-Yates & Gonnet 1992). On each letter every window moves
@@ -107,57 +113,50 @@ class _HitAutomaton:
     most 14, and samples of other weights, every single-occurrence scanner
     built this way has no two equivalent states.
     """
-
-    def __init__(self, strategy: DetectionStrategy):
-        span = strategy.seed.span
-        last = 1 << (span - 1)
-        required = strategy.seed.required_mask
-        # bit d is set when seed position d is a don't-care
-        survives_mismatch = ~required & ((last << 1) - 1)
-        after_fire = (1 << strategy.max_overlap) - 1
-        # bit e of dominated[d] is set when the younger window e needs every position
-        # that window d still needs
-        dominated = [sum(1 << e for e in range(d)
-                         if not required >> (d + 1) & ~(required >> (e + 1)))
-                     for d in range(span)]
-        occurrence = 1 << span  # one occurrence still needed, in a state key
-        start = strategy.required_occurrences << span
-        keys = [0, start]
-        index = {0: 0, start: 1}
-        step0: list[int] = [0]
-        step1: list[int] = [0]
-        for key in islice(keys, 1, None):
-            live = key & (occurrence - 1)
-            moved = live << 1 | 1
-            for table, windows in ((step0, moved & survives_mismatch), (step1, moved)):
-                base = key - live
-                if windows & last:
-                    if base == occurrence:
-                        table.append(0)  # the last occurrence needed fired
-                        continue
-                    base -= occurrence
-                    windows &= after_fire
+    span = strategy.seed.span
+    last = 1 << (span - 1)
+    required = strategy.seed.required_mask
+    # bit d is set when seed position d is a don't-care
+    survives_mismatch = ~required & ((last << 1) - 1)
+    after_fire = (1 << strategy.max_overlap) - 1
+    # bit e of dominated[d] is set when the younger window e needs every position
+    # that window d still needs
+    dominated = [sum(1 << e for e in range(d)
+                     if not required >> (d + 1) & ~(required >> (e + 1)))
+                 for d in range(span)]
+    occurrence = 1 << span  # one occurrence still needed, in a state key
+    keys = [0, strategy.required_occurrences << span]  # the keys of _ACCEPT and _START
+    index = {key: sid for sid, key in enumerate(keys)}
+    step0 = [_ACCEPT]
+    step1 = [_ACCEPT]
+    for key in islice(keys, _START, None):
+        live = key & (occurrence - 1)
+        moved = live << 1 | 1
+        for table, windows in ((step0, moved & survives_mismatch), (step1, moved)):
+            base = key - live
+            if windows & last:
                 if base == occurrence:
-                    kill, rest = 0, windows
-                    while rest:
-                        low = rest & -rest
-                        kill |= dominated[low.bit_length() - 1]
-                        rest ^= low
-                    windows &= ~kill
-                target = base | windows
-                sid = index.get(target)
-                if sid is None:
-                    sid = index[target] = len(keys)
-                    keys.append(target)
-                table.append(sid)
-        self.step0 = step0
-        self.step1 = step1
-        self.accept = 0
-        self.start = 1
-        self.size = len(keys)
+                    table.append(_ACCEPT)  # the last occurrence needed fired
+                    continue
+                base -= occurrence
+                windows &= after_fire
+            if base == occurrence:
+                kill, rest = 0, windows
+                while rest:
+                    low = rest & -rest
+                    kill |= dominated[low.bit_length() - 1]
+                    rest ^= low
+                windows &= ~kill
+            target = base | windows
+            sid = index.get(target)
+            if sid is None:
+                sid = index[target] = len(keys)
+                keys.append(target)
+            table.append(sid)
+    return step0, step1
 
 
-def _scanner(strategy: DetectionStrategy) -> _HitAutomaton:
+def _scanner(strategy: DetectionStrategy) -> tuple[list[int], list[int]]:
     """The scanner of the strategy, or of its mirror when the seed leans right.
 
     Reversal maps each alignment model onto itself and preserves detection,
@@ -172,7 +171,7 @@ def _scanner(strategy: DetectionStrategy) -> _HitAutomaton:
     if 2 * sum(positions) > seed.weight * (seed.span - 1):
         strategy = DetectionStrategy(Seed(seed.pattern[::-1]), strategy.required_occurrences,
                                      strategy.max_overlap)
-    return _HitAutomaton(strategy)
+    return _hit_automaton(strategy)
 
 
 def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, score: int,
@@ -188,9 +187,8 @@ def hit_probability_profile(strategy: DetectionStrategy, scheme: ScoringScheme, 
     if min(lengths) < 1:
         raise ValueError("length must be >= 1")
     check_model(model, score)
-    scanner = _scanner(strategy)
-    profile = profile_counts(scanner.step0, scanner.step1, scanner.start, scanner.accept,
-                             scheme, score, lengths, model)
+    step0, step1 = _scanner(strategy)
+    profile = profile_counts(step0, step1, _START, _ACCEPT, scheme, score, lengths, model)
     reports = []
     for n in lengths:
         hits, population = profile[n]

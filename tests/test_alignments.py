@@ -17,7 +17,7 @@ from seedsense.alignments import (
     strategy_detects,
 )
 
-from oracles import match_ends, subset_detects
+from oracles import match_ends, seed_mask, subset_detects
 
 S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
@@ -57,6 +57,13 @@ class TestAlignment:
                 a = Alignment(n, bits)
                 assert str(a) == "".join(str((bits >> i) & 1) for i in range(n))
                 assert Alignment.from_string(str(a)) == a
+
+    @given(text=st.text("01", min_size=1, max_size=130))
+    def test_from_string_is_the_per_letter_bits(self, text):
+        # letter b_i, the text's character i - 1, is bit i - 1
+        a = Alignment.from_string(text)
+        assert (a.length, a.bits) == (len(text), sum(1 << i for i, ch in enumerate(text)
+                                                     if ch == "1"))
 
     def test_rejects_bad_strings(self):
         for text in ("", "12", "1a0"):
@@ -111,6 +118,10 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_homogeneous(S11, 21)
 
+    def test_rejects_zero_length(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            enumerate_homogeneous(S11, 0)
+
     def test_endpoints_are_matches(self):
         for scheme in (S11, S13):
             for n in range(1, 11):
@@ -124,6 +135,11 @@ class TestSeed:
         seed = Seed("1101")
         assert (seed.span, seed.weight) == (4, 3)
         assert seed.required_mask == 0b1011
+
+    @given(interior=st.lists(st.sampled_from("01"), max_size=40), single=st.booleans())
+    def test_required_mask_is_the_per_position_mask(self, interior, single):
+        pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
+        assert Seed(pattern).required_mask == seed_mask(pattern)
 
     @pytest.mark.parametrize("bad", ["", "011", "110", "0", "102"])
     def test_rejects_noncanonical(self, bad):

@@ -11,7 +11,7 @@ import seedsense.cli as cli_mod
 import seedsense.sampling as sampling_mod
 from seedsense.alignments import ORACLE_LENGTH_LIMIT
 from seedsense.cli import run
-from seedsense.selfcheck import CheckResult
+from seedsense.selfcheck import CheckResult, run_selfcheck
 
 
 def invoke(capsys, *argv):
@@ -403,10 +403,12 @@ class TestCurve:
         assert lengths("both") == [(2, "all"), (2, "homogeneous")]
 
     def test_bad_range(self, capsys):
-        assert invoke(capsys, "curve", "--seed", "11", "--score", "4",
-                      "--length-range", "9")[0] == 2
-        assert invoke(capsys, "curve", "--seed", "11", "--score", "4",
-                      "--length-range", "5:1")[0] == 2
+        for text, reason in (("9", "must look like"), ("5:1", "is empty or invalid"),
+                             ("a:b", "is not numeric")):
+            code, out, err = invoke(capsys, "curve", "--seed", "11", "--score", "4",
+                                    "--length-range", text)
+            assert code == 2 and out == ""
+            assert reason in err, text
 
 
 class TestOutputFile:
@@ -454,3 +456,8 @@ class TestSelfcheckCommand:
         code, out, err = invoke(capsys, "selfcheck", "--max-length", str(ORACLE_LENGTH_LIMIT + 1))
         assert code == 2 and out == ""
         assert "--max-length" in err
+
+    @pytest.mark.parametrize("max_length", [0, ORACLE_LENGTH_LIMIT + 1])
+    def test_run_selfcheck_rejects_lengths_outside_the_oracle_range(self, max_length):
+        with pytest.raises(ValueError, match="max_length must be in"):
+            run_selfcheck(max_length)

@@ -11,6 +11,7 @@ from seedsense.counting import (
     count_unconstrained,
     lane_sweep,
     mismatch_count,
+    positive_scores,
 )
 
 from oracles import fixed_score_population, inline_lane_sweep, walk_homogeneous
@@ -73,6 +74,13 @@ class TestCountHomogeneous:
         for scheme in SCHEMES:
             for n in range(1, 13):
                 assert count_homogeneous(scheme, n) == len(enumerate_homogeneous(scheme, n))
+
+    def test_rejects_bad_length(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            positive_scores(S13, 0)
+        for score in (None, 2):
+            with pytest.raises(ValueError, match="length must be >= 1"):
+                count_homogeneous(S13, 0, score)
 
     def test_score_partition(self):
         for scheme in SCHEMES:

@@ -40,10 +40,10 @@ CASES = [
      "mismatch_penalty=1), length=40, score=12, model='homogeneous', top_k=3)"),
     (RankedSeed, {"seed": SEED, "numerator": 5, "denominator": 9}, {"numerator": 4},
      "RankedSeed(seed=Seed(pattern='1101'), numerator=5, denominator=9)"),
-    (RankedSeeds, {"entries": (RankedSeed(SEED, 5, 9),), "candidate_count": 651,
-                   "elapsed_seconds": 0.25}, {"elapsed_seconds": 0.5},
+    (RankedSeeds, {"entries": (RankedSeed(SEED, 5, 9),), "candidate_count": 651},
+     {"candidate_count": 650},
      "RankedSeeds(entries=(RankedSeed(seed=Seed(pattern='1101'), numerator=5, "
-     "denominator=9),), candidate_count=651, elapsed_seconds=0.25)"),
+     "denominator=9),), candidate_count=651)"),
     (CheckResult, {"name": "score-partition", "passed": True, "detail": "lengths to 9"},
      {"passed": False},
      "CheckResult(name='score-partition', passed=True, detail='lengths to 9')"),
@@ -108,9 +108,9 @@ class TestEveryRecord:
 
 def test_records_of_different_types_with_equal_values_are_unequal():
     for group in ([ScoringScheme(3, 7), Alignment(3, 7), SensitivityReport(3, 7),
-                   McEstimate(3, 7)],
+                   McEstimate(3, 7), RankedSeeds(3, 7)],
                   [DetectionStrategy(SEED, 2, 1), RankedSeed(SEED, 2, 1),
-                   RankedSeeds(SEED, 2, 1), CheckResult(SEED, 2, 1)]):
+                   CheckResult(SEED, 2, 1)]):
         for i, a in enumerate(group):
             for b in group[i + 1:]:
                 assert a != b and b != a and not a == b, (a, b)

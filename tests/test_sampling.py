@@ -327,6 +327,12 @@ class TestSampleFixed:
         with pytest.raises(InfeasibleScore):
             sample_fixed(S13, 12, 4, 1, RandomStream(0))  # feasible composition, empty set
 
+    def test_rejects_bad_length_and_count(self):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            sample_fixed(S11, 0, 3, 1, RandomStream(0))
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_fixed(S11, 5, 3, -1, RandomStream(0))
+
     def test_validity_and_score(self):
         for a in map(Alignment.from_string, sample_fixed(S13, 14, 6, 500, RandomStream(3))):
             assert is_homogeneous(a, S13)
@@ -538,7 +544,7 @@ class TestMonteCarlo:
 
     def test_certain_seed(self):
         result = mc_estimate(query("1", S13, 9, 5), 500, RandomStream(0))
-        assert result.estimate == 1.0
+        assert result.hits / result.samples == 1.0
         assert result.stderr == 0.0
 
     def test_last_letter_of_a_full_lane(self):
@@ -574,14 +580,14 @@ class TestMonteCarlo:
         q = query("101", S13, 16, 8, UNIFORM)
         exact = hit_probability(q)
         result = mc_estimate(q, 4000, RandomStream(3))
-        assert abs(result.estimate - exact.numerator / exact.denominator) <= \
+        assert abs(result.hits / result.samples - exact.numerator / exact.denominator) <= \
             5 * result.stderr + 1e-9
 
     def test_uniform_model_samples_have_exact_score(self):
         # the uniform-model sampler is internal; validate through its estimates
         q = query("1", S13, 10, 6, UNIFORM)  # weight-1 seed detects iff any match exists
         result = mc_estimate(q, 300, RandomStream(4))
-        assert result.estimate == 1.0
+        assert result.hits / result.samples == 1.0
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleScore):

@@ -12,7 +12,9 @@ from seedsense.counting import (HOMOGENEOUS, UNIFORM, InfeasibleScore, count_hom
 from seedsense.sensitivity import (
     SensitivityQuery,
     SensitivityReport,
-    _HitAutomaton,
+    _ACCEPT,
+    _START,
+    _hit_automaton,
     _scanner,
     decimal_ratio,
     hit_probability,
@@ -25,10 +27,10 @@ S11 = ScoringScheme(1, 1)
 S13 = ScoringScheme(1, 3)
 
 
-def _profile(auto, scheme, score, lengths, model):
-    # (hits, population) per length, swept over the given scanner
-    return profile_counts(auto.step0, auto.step1, auto.start, auto.accept, scheme, score,
-                          lengths, model)
+def _profile(scanner, scheme, score, lengths, model):
+    # (hits, population) per length, swept over the given scanner's (step0, step1)
+    step0, step1 = scanner
+    return profile_counts(step0, step1, _START, _ACCEPT, scheme, score, lengths, model)
 
 
 def strategy(pattern, occurrences=1, overlap=0):
@@ -226,7 +228,7 @@ class TestOracleEquivalence:
                 # s + p >= 2, so of two consecutive lengths at most one reaches the score
                 empty = [n for n in oracle if not oracle[n][side][1]]
                 swept = sorted(set(lengths) | set(rng.sample(empty, min(len(empty), 2))))
-                auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+                auto = _hit_automaton(strategy(pattern, occurrences, overlap))
                 assert _profile(auto, scheme, total, swept, model) == \
                     {n: oracle[n][side] for n in swept}
                 profiles[model] += 1
@@ -343,7 +345,7 @@ class TestHitAutomaton:
         ("110100110010101111", 3, 5, 807),  # minimal 727
     ])
     def test_state_counts(self, pattern, occurrences, overlap, size):
-        assert _HitAutomaton(strategy(pattern, occurrences, overlap)).size == size
+        assert len(_hit_automaton(strategy(pattern, occurrences, overlap))[0]) == size
 
     # the scanner swept is the mirror's (the reversed seed, same occurrences and
     # overlap) when the seed's required positions sit past its center
@@ -353,7 +355,7 @@ class TestHitAutomaton:
         ("110100110010101111", 2, 17, 372),  # the mirror's; its own has 525
     ])
     def test_scanner_size(self, pattern, occurrences, overlap, size):
-        assert _scanner(strategy(pattern, occurrences, overlap)).size == size
+        assert len(_scanner(strategy(pattern, occurrences, overlap))[0]) == size
 
     # on these seeds the rule picks the smaller of the two scanners; beside each, the
     # state count it had before dominated windows were dropped, which must fall
@@ -363,22 +365,21 @@ class TestHitAutomaton:
         ("110100110010101111", 2, 17, 397),
     ])
     def test_scanner_is_the_smaller(self, pattern, occurrences, overlap, size):
-        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
-        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
-        assert _scanner(strategy(pattern, occurrences, overlap)).size == \
-            min(own.size, mirror.size) < size
+        own, _ = _hit_automaton(strategy(pattern, occurrences, overlap))
+        mirror, _ = _hit_automaton(strategy(pattern[::-1], occurrences, overlap))
+        assert len(_scanner(strategy(pattern, occurrences, overlap))[0]) == \
+            min(len(own), len(mirror)) < size
 
     @staticmethod
     def builds(monkeypatch):
         """Record the seed of every scanner build ``_scanner`` starts."""
         built = []
 
-        class Recorded(_HitAutomaton):
-            def __init__(self, strategy):
-                built.append(strategy.seed.pattern)
-                super().__init__(strategy)
+        def recorded(strategy):
+            built.append(strategy.seed.pattern)
+            return _hit_automaton(strategy)
 
-        monkeypatch.setattr(sensitivity_mod, "_HitAutomaton", Recorded)
+        monkeypatch.setattr(sensitivity_mod, "_hit_automaton", recorded)
         return built
 
     def test_palindrome_builds_one_scanner(self, monkeypatch):
@@ -404,17 +405,16 @@ class TestHitAutomaton:
             pattern = random_seed_pattern(rng, 8)
             occurrences = rng.randint(1, 3)
             overlap = rng.randint(0, len(pattern) - 1)
-            auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+            step0, step1 = _hit_automaton(strategy(pattern, occurrences, overlap))
             # depth-first over every bit string of length <= 12, one letter at a time
-            stack = [(0, 0, auto.start)]
+            stack = [(0, 0, _START)]
             while stack:
                 bits, n, state = stack.pop()
                 expected = subset_detects(bits, n, pattern, occurrences, overlap)
-                assert (state == auto.accept) == expected, (pattern, occurrences, overlap,
-                                                            n, bits)
+                assert (state == _ACCEPT) == expected, (pattern, occurrences, overlap, n, bits)
                 if n < 12:
-                    stack.append((bits, n + 1, auto.step0[state]))
-                    stack.append((bits | 1 << n, n + 1, auto.step1[state]))
+                    stack.append((bits, n + 1, step0[state]))
+                    stack.append((bits | 1 << n, n + 1, step1[state]))
         # spans 9-18 reach fire masks wider than the exhaustive part covers; every
         # prefix of random 80-letter strings
         for _ in range(100):
@@ -422,18 +422,18 @@ class TestHitAutomaton:
             pattern = "1" + "".join(rng.choice("01") for _ in range(span - 2)) + "1"
             occurrences = rng.randint(1, 3)
             overlap = rng.randint(0, span - 1)
-            auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+            step0, step1 = _hit_automaton(strategy(pattern, occurrences, overlap))
             # biased towards matches, so that most strings hold several occurrences
             identity = rng.uniform(0.5, 0.9)
             for _ in range(20):
                 bits = sum(1 << i for i in range(80) if rng.random() < identity)
-                state = auto.start
+                state = _START
                 for n in range(81):
                     expected = subset_detects(bits, n, pattern, occurrences, overlap)
-                    assert (state == auto.accept) == expected, (pattern, occurrences, overlap,
-                                                                n, bits)
+                    assert (state == _ACCEPT) == expected, (pattern, occurrences, overlap,
+                                                            n, bits)
                     if n < 80:
-                        state = (auto.step1 if bits >> n & 1 else auto.step0)[state]
+                        state = (step1 if bits >> n & 1 else step0)[state]
 
 
 class TestScannerProperties:
@@ -450,20 +450,17 @@ class TestScannerProperties:
         overlap = data.draw(st.integers(0, len(pattern) - 1), label="overlap")
         positions = [i for i, ch in enumerate(pattern) if ch == "1"]
         leans_right = 2 * sum(positions) > len(positions) * (len(pattern) - 1)
-        expected = _HitAutomaton(strategy(pattern[::-1] if leans_right else pattern,
-                                          occurrences, overlap))
-        got = _scanner(strategy(pattern, occurrences, overlap))
-        assert (got.size, got.start, got.accept, got.step0, got.step1) == \
-            (expected.size, expected.start, expected.accept, expected.step0, expected.step1)
+        expected = _hit_automaton(strategy(pattern[::-1] if leans_right else pattern,
+                                           occurrences, overlap))
+        assert _scanner(strategy(pattern, occurrences, overlap)) == expected
 
     @settings(deadline=None, derandomize=True)
     @given(interior=st.lists(st.sampled_from("01"), max_size=12), single=st.booleans())
     def test_single_occurrence_scanner_is_minimal(self, interior, single):
         pattern = "1" if single and not interior else "1" + "".join(interior) + "1"
         for oriented in (pattern, pattern[::-1]):
-            auto = _HitAutomaton(strategy(oriented))
-            assert moore_class_count(auto.step0, auto.step1, auto.accept) == auto.size, \
-                oriented
+            step0, step1 = _hit_automaton(strategy(oriented))
+            assert moore_class_count(step0, step1, _ACCEPT) == len(step0), oriented
 
 
 class TestProfileProperties:
@@ -483,7 +480,7 @@ class TestProfileProperties:
         horizon = max(lengths)
         q = data.draw(st.integers(0, horizon), label="mismatches at the longest length")
         total = (horizon - q) * s - q * p
-        auto = _HitAutomaton(strategy(pattern, occurrences, overlap))
+        auto = _hit_automaton(strategy(pattern, occurrences, overlap))
         oracle = {n: hit_fractions(n, s, p, total, pattern, occurrences, overlap)
                   for n in lengths}
         # a homogeneous score is positive (SensitivityQuery rejects any other)
@@ -507,8 +504,8 @@ class TestProfileProperties:
         q = data.draw(st.integers(0, horizon), label="mismatches at the longest length")
         total = (horizon - q) * s - q * p
         scheme = ScoringScheme(s, p)
-        own = _HitAutomaton(strategy(pattern, occurrences, overlap))
-        mirror = _HitAutomaton(strategy(pattern[::-1], occurrences, overlap))
+        own = _hit_automaton(strategy(pattern, occurrences, overlap))
+        mirror = _hit_automaton(strategy(pattern[::-1], occurrences, overlap))
         # a homogeneous score is positive (SensitivityQuery rejects any other)
         for model in (HOMOGENEOUS, UNIFORM)[total < 1:]:
             assert _profile(own, scheme, total, lengths, model) == \

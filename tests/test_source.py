@@ -65,7 +65,7 @@ def test_no_module_imports_dataclasses():
 def test_one_count_recurrence():
     # every walk count comes from one sweep: CountTableD, which curve reads, holds no
     # recurrence of its own (no method loops; it reads profile_counts), and binomials
-    # count only the uniform model's population and, in search.py, the candidate seeds
+    # count only the uniform model's population
     table_users = sorted(path.name for path in PACKAGE.glob("*.py")
                          if "CountTableD" in path.read_text())
     assert set(table_users) <= {"counting.py", "cli.py"}, table_users
@@ -81,7 +81,7 @@ def test_one_count_recurrence():
     assert "profile_counts" in calls, "CountTableD does not read profile_counts"
     comb_users = sorted(path.name for path in PACKAGE.glob("*.py")
                         if "math.comb" in path.read_text())
-    assert set(comb_users) <= {"counting.py", "search.py"}, comb_users
+    assert set(comb_users) <= {"counting.py"}, comb_users
 
 
 def test_lane_format_has_one_home():
@@ -161,3 +161,62 @@ def test_each_name_has_one_home():
                     misplaced.append(f"{path.parent.name}/{path.name}:{node.lineno} "
                                      f"{alias.name} from {module}")
     assert not misplaced, f"names imported from a module that does not define them: {misplaced}"
+
+
+def _defined_public(tree: ast.Module) -> list[tuple[str, str]]:
+    # (name, label) for each public top-level def or class, and each public method,
+    # property or annotated field of a public class
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    found.append((name, f"{node.name}.{name}"))
+    return found
+
+
+def _named(tree: ast.AST) -> set[str]:
+    # every name a tree reads: a Name, an Attribute, an import alias or a call keyword;
+    # a field's own annotation in its class body defines it and does not read it
+    fields = {id(member.target) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              for member in node.body if isinstance(member, ast.AnnAssign)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and id(node) not in fields:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # a public name that only the tests read is surface with no user: each must be
+    # named by a package module, by a benchmark script (which this test only reads),
+    # or by the README's Library example
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text().partition("\n## Library\n")[2]
+    library = readme.partition("```python\n")[2].partition("```")[0]
+    assert library, "README has no Library code block"
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    readers = _named(ast.parse(library))
+    for path in sorted((root / "benchmarks").glob("*.py")):
+        readers |= _named(ast.parse(path.read_text(), filename=str(path)))
+    for tree in trees.values():
+        readers |= _named(tree)
+    unread = [f"{path.stem}.{label}" for path, tree in trees.items()
+              for name, label in _defined_public(tree) if name not in readers]
+    assert not unread, f"public names that only the tests read: {unread}"
